@@ -137,6 +137,9 @@ def _execute_cells(
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     if cache is None:
         cache = _par.get_result_cache()
+    # Traces live next to the results they produce, so a cache directory
+    # passed in (``--cache-dir``) moves both.
+    trace_dir = cache.trace_dir
     started = time.perf_counter()
 
     def _emit(slot: CellResult) -> None:
@@ -200,7 +203,7 @@ def _execute_cells(
     if pending and max_workers == 1:
         for key, indices in pending.items():
             cell = cells[indices[0]]
-            result, telemetry = _par._execute_cell(cell)
+            result, telemetry = _par._execute_cell(cell, trace_dir=trace_dir)
             if use_cache:
                 cache.put(key, result, telemetry, _par._cell_describe(cell))
             _finish(key, result, telemetry)
@@ -213,7 +216,7 @@ def _execute_cells(
         try:
             if share:
                 pool = _par._get_pool(max_workers)
-                arena = get_workload_arena()
+                arena = get_workload_arena(trace_dir)
                 for key, indices in pending.items():
                     cell = cells[indices[0]]
                     params = cell.workload_params()

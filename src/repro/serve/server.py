@@ -65,6 +65,17 @@ from repro.workloads.arena import (
 )
 
 
+#: Longest NDJSON line the server reads (asyncio's default stream limit).
+#: A longer frame gets a coded ``bad-request`` and the connection closes.
+FRAME_LIMIT = 2**16
+
+#: How much of an oversized frame's tail is skipped before closing, and
+#: how long to wait for more of it, so the peer sees an orderly close
+#: rather than a reset.
+_SKIP_LIMIT = 16 * FRAME_LIMIT
+_SKIP_WAIT_S = 0.25
+
+
 @dataclass
 class ServeConfig:
     """Knobs for one server instance (all admission-control bounds)."""
@@ -224,7 +235,10 @@ class ServeServer:
             max(0, self.config.idle_segments)
         )
         self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
+            self._handle_conn,
+            self.config.host,
+            self.config.port,
+            limit=FRAME_LIMIT,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -278,10 +292,9 @@ class ServeServer:
         if task is not None:
             self._sessions.add(task)
         try:
-            try:
-                first = await reader.readline()
-            except (ConnectionError, OSError):
-                return
+            first = await self._read_frame(
+                reader, lambda message: self._safe_send(writer, message)
+            )
             if not first:
                 return
             if first.split(b" ", 1)[0] in (b"GET", b"HEAD"):
@@ -299,6 +312,40 @@ class ServeServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    async def _read_frame(self, reader: asyncio.StreamReader, send) -> bytes:
+        """The next NDJSON line; ``b""`` at EOF, on a connection error, or
+        once a frame longer than :data:`FRAME_LIMIT` has been answered.
+
+        An oversized frame gets a coded ``bad-request``; its unread tail
+        is then skipped (bounded), so the close that follows is orderly
+        and does not reset the connection under the reply.
+        """
+        try:
+            return await reader.readline()
+        except (ConnectionError, OSError):
+            return b""
+        except ValueError:  # asyncio's limit overrun
+            pass
+        await send(
+            {
+                "event": "error",
+                "code": "bad-request",
+                "error": f"request line exceeds the {FRAME_LIMIT}-byte frame limit",
+            }
+        )
+        skipped = 0
+        try:
+            while skipped < _SKIP_LIMIT:
+                chunk = await asyncio.wait_for(
+                    reader.read(FRAME_LIMIT), _SKIP_WAIT_S
+                )
+                if not chunk or b"\n" in chunk:
+                    break
+                skipped += len(chunk)
+        except (asyncio.TimeoutError, ConnectionError, OSError):
+            pass
+        return b""
 
     async def _safe_send(
         self, writer: asyncio.StreamWriter, message: Dict
@@ -364,10 +411,7 @@ class ServeServer:
                 done = await self._dispatch(line, send, bucket, client_jobs)
                 if done:
                     break
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, OSError):
-                    break
+                line = await self._read_frame(reader, send)
             # Let this connection's in-flight jobs finish streaming
             # before the connection closes under them.
             while client_jobs["count"] > 0:
@@ -679,7 +723,7 @@ async def run_stdio(config: Optional[ServeConfig] = None) -> int:
         max(0, server.config.idle_segments)
     )
     loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader()
+    reader = asyncio.StreamReader(limit=FRAME_LIMIT)
     await loop.connect_read_pipe(
         lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
     )
@@ -688,7 +732,9 @@ async def run_stdio(config: Optional[ServeConfig] = None) -> int:
     )
     writer = asyncio.StreamWriter(transport, proto, reader, loop)
     try:
-        first = await reader.readline()
+        first = await server._read_frame(
+            reader, lambda message: server._safe_send(writer, message)
+        )
         if first:
             await server._session(first, reader, writer)
     finally:

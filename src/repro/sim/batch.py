@@ -35,7 +35,7 @@ each kernel's core-event prologue).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,10 +53,9 @@ from repro.dramcache.alloy_victim import VICTIM_HIT_CYCLES, AlloyVictimDesign
 from repro.dramcache.base import ATTRIBUTION_EPSILON, LATENCY_BUCKETS
 from repro.dramcache.ideal_lo import IdealLODesign
 from repro.dramcache.lh_cache import LHCacheDesign, TAG_CHECK_CYCLES
-from repro.dramcache.no_cache import NoCacheDesign
+from repro.dramcache.no_cache import NoCacheDesign, PerfectL3Design
 from repro.dramcache.sram_tag import SramTagDesign
 from repro.lifecycle import STAGES
-from repro.sim.core_model import Core
 from repro.stats import Histogram
 from repro.units import LINE_SIZE
 
@@ -95,18 +94,14 @@ def run(system) -> Optional["object"]:
         return None
 
     starts = system._warm()
-    system._cores = [
-        Core(core_id, trace, start_index=starts[core_id])
-        for core_id, trace in enumerate(system.workload.cores)
-    ]
-    kernel(system, starts)
+    finish = kernel(system, starts)
     system.engine_used = "batch"
-    return system._collect()
+    return system._collect(finish)
 
 
 def _select_kernel(design):
     kind = type(design)
-    if kind is NoCacheDesign:
+    if kind is NoCacheDesign or kind is PerfectL3Design:
         return _run_no_cache
     if kind is IdealLODesign:
         return _run_ideal_lo
@@ -138,7 +133,7 @@ def _select_kernel(design):
 def _flatten(system, starts, need_pcs):
     """Concatenate post-warmup per-core trace slices into flat arrays.
 
-    Returns ``(A, G, W, P, D, base, n_reads, n_writes, A_np)`` where
+    Returns ``(A, G, W, P, D, base, A_np)`` where
     ``A``/``G``/``W`` are plain lists (native ints/floats/bools — list
     indexing beats numpy scalar extraction on the hot path), ``D`` is the
     per-record dependence-flag list (built only when the system models MLP,
@@ -151,22 +146,16 @@ def _flatten(system, starts, need_pcs):
     need_dep = system._mshrs > 1
     parts_a, parts_g, parts_w, parts_p, parts_d = [], [], [], [], []
     base = [0]
-    n_reads: List[int] = []
-    n_writes: List[int] = []
     for core_id, trace in enumerate(system.workload.cores):
         split = starts[core_id]
         a = trace.addresses[split:]
-        w = trace.is_write[split:]
         parts_a.append(a)
         parts_g.append(trace.gaps[split:])
-        parts_w.append(w)
+        parts_w.append(trace.is_write[split:])
         if need_pcs:
             parts_p.append(trace.pcs[split:])
         if need_dep:
             parts_d.append(trace.dependent_flags()[split:])
-        writes = int(w.sum())
-        n_writes.append(writes)
-        n_reads.append(len(a) - writes)
         base.append(base[-1] + len(a))
     a_np = np.concatenate(parts_a) if len(parts_a) > 1 else parts_a[0]
     g_np = np.concatenate(parts_g) if len(parts_g) > 1 else parts_g[0]
@@ -186,8 +175,6 @@ def _flatten(system, starts, need_pcs):
         pcs,
         dep,
         base,
-        n_reads,
-        n_writes,
         a_np,
     )
 
@@ -450,29 +437,26 @@ def _flush(group, name, count):
         group.counter(name).value += count
 
 
-def _finish_cores(system, finish, last_read, n_reads, n_writes):
-    for i, core in enumerate(system._cores):
-        core.finish_time = finish[i]
-        core.last_read_done = last_read[i]
-        core.reads_issued = n_reads[i]
-        core.writes_issued = n_writes[i]
-        core._index = core._length
-
-
 # ----------------------------------------------------------------------
-# no-cache kernel
+# no-cache / perfect-l3 kernel
 # ----------------------------------------------------------------------
 def _run_no_cache(system, starts):
+    """The two designs without a stacked array. no-cache sends every read
+    and posted write to off-chip memory; perfect-l3 completes every read
+    at its L3 arrival (a zero-latency hit, every stage zero) and absorbs
+    every write as a write hit with no memory traffic."""
     design = system.design
-    memory = system.memory
-    mdemand, mbg, mflush, _ = _device_fns(memory)
-    A, G, W, _, D, base, nr, nw, a_np = _flatten(system, starts, False)
-    mb, mc, mr = _mem_decode(a_np, memory.mapping)
-    mapping = memory.mapping
-    m_lpr = mapping.lines_per_row
-    m_ch = mapping.channels
-    m_banks = mapping.banks
-    mlb = memory.timings.line_burst
+    perfect = type(design) is PerfectL3Design
+    A, G, W, _, D, base, a_np = _flatten(system, starts, False)
+    if not perfect:
+        memory = system.memory
+        mdemand, mbg, mflush, _ = _device_fns(memory)
+        mb, mc, mr = _mem_decode(a_np, memory.mapping)
+        mapping = memory.mapping
+        m_lpr = mapping.lines_per_row
+        m_ch = mapping.channels
+        m_banks = mapping.banks
+        mlb = memory.timings.line_burst
     l3 = system._l3_latency
     wic = system._write_issue_cycles
     num_cores = len(base) - 1
@@ -483,8 +467,9 @@ def _run_no_cache(system, starts):
     outst = [[] for _ in range(num_cores)] if mlp else None
     finish = [0.0] * num_cores
     last_read = [0.0] * num_cores
-    # Every read misses: misslat is readlat, and the predictor/tag/DRAM$
-    # stages are identically zero (lists synthesized after the loop).
+    # no-cache: every read misses, so misslat is readlat and the predictor/
+    # tag/DRAM$ stages are identically zero (lists synthesized after the
+    # loop). perfect-l3 samples nothing per read: all its lists are zeros.
     readlat = []
     stq, stm = [], []
     unat = []
@@ -503,7 +488,7 @@ def _run_no_cache(system, starts):
             seq += 1
     events = 0
     now = 0.0
-    n_mr = n_mw = n_wm = 0
+    n_r = n_w = n_mw = 0
     while heap:
         now, _, kind, a, b = pop(heap)
         events += 1
@@ -528,23 +513,29 @@ def _run_no_cache(system, starts):
                     continue
             g = cur[ci]
             if W[g]:
-                n_wm += 1
-                push(heap, (now, seq, _EV_MEMWRITE, A[g], 0))
-                seq += 1
+                n_w += 1
+                if not perfect:
+                    push(heap, (now, seq, _EV_MEMWRITE, A[g], 0))
+                    seq += 1
                 anchor = completed = now + wic
             else:
                 arrival = now + l3
-                n_mr += 1
-                done, _, q, serv = mdemand(arrival, mb[g], mc[g], mr[g], mlb, False)
-                lat = done - arrival
-                ra(lat)
-                qa(q)
-                mma(serv)
-                gap = lat - (q + serv)
-                if gap < 0.0:
-                    gap = -gap
-                ua(gap if gap > eps else 0.0)
-                completed = done if done >= arrival else arrival
+                n_r += 1
+                if perfect:
+                    completed = arrival
+                else:
+                    done, _, q, serv = mdemand(
+                        arrival, mb[g], mc[g], mr[g], mlb, False
+                    )
+                    lat = done - arrival
+                    ra(lat)
+                    qa(q)
+                    mma(serv)
+                    gap = lat - (q + serv)
+                    if gap < 0.0:
+                        gap = -gap
+                    ua(gap if gap > eps else 0.0)
+                    completed = done if done >= arrival else arrival
                 if mlp:
                     # Compute overlaps the outstanding miss: the next record
                     # issues relative to now, not the read's completion.
@@ -569,17 +560,24 @@ def _run_no_cache(system, starts):
             per = chunk // m_ch
             mbg(now, ch * m_banks + per % m_banks, ch, per // m_banks, mlb, True)
     stats = design.stats
-    mflush()
-    _flush(stats, "write_misses", n_wm)
-    _flush(stats, "memory_reads", n_mr)
-    _flush(stats, "memory_writes", n_mw)
-    zeros = [0.0] * len(readlat)
-    _writeback_reads(
-        design, readlat, [], readlat, (stq, zeros, zeros, zeros, stm), unat
-    )
-    _finish_cores(system, finish, last_read, nr, nw)
+    if perfect:
+        _flush(stats, "write_hits", n_w)
+        zeros = [0.0] * n_r
+        _writeback_reads(
+            design, zeros, zeros, [], (zeros,) * len(STAGES), zeros
+        )
+    else:
+        mflush()
+        _flush(stats, "write_misses", n_w)
+        _flush(stats, "memory_reads", n_r)
+        _flush(stats, "memory_writes", n_mw)
+        zeros = [0.0] * len(readlat)
+        _writeback_reads(
+            design, readlat, [], readlat, (stq, zeros, zeros, zeros, stm), unat
+        )
     system.events_processed += events
     system.now = now
+    return finish
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +589,7 @@ def _run_ideal_lo(system, starts):
     stacked = system.stacked
     mdemand, mbg, mflush, _ = _device_fns(memory)
     sdemand, sbg, sflush, _ = _device_fns(stacked)
-    A, G, W, _, D, base, nr, nw, a_np = _flatten(system, starts, False)
+    A, G, W, _, D, base, a_np = _flatten(system, starts, False)
     mb, mc, mr = _mem_decode(a_np, memory.mapping)
     store = design.cache
     si_np = a_np % store.num_sets
@@ -770,9 +768,9 @@ def _run_ideal_lo(system, starts):
     _writeback_reads(
         design, readlat, hitlat, misslat, (stq, zeros, zeros, std, stm), unat
     )
-    _finish_cores(system, finish, last_read, nr, nw)
     system.events_processed += events
     system.now = now
+    return finish
 
 
 # ----------------------------------------------------------------------
@@ -801,7 +799,7 @@ def _run_sram(system, starts):
     ) = stacked._hot
     s_open = stacked._open_row
     s_openpol = stacked._open_policy
-    A, G, W, _, D, base, nr, nw, a_np = _flatten(system, starts, False)
+    A, G, W, _, D, base, a_np = _flatten(system, starts, False)
     mb, mc, mr = _mem_decode(a_np, memory.mapping)
     tags_cache = design.tags
     si_np = a_np % tags_cache.num_sets
@@ -1195,9 +1193,9 @@ def _run_sram(system, starts):
         design, readlat, hitlat, misslat,
         (stq, [0.0] * n, [tslf] * n, std, stm), unat
     )
-    _finish_cores(system, finish, last_read, nr, nw)
     system.events_processed += events
     system.now = now
+    return finish
 
 
 # ----------------------------------------------------------------------
@@ -1226,7 +1224,7 @@ def _run_lh(system, starts):
     ) = stacked._hot
     s_open = stacked._open_row
     s_openpol = stacked._open_policy
-    A, G, W, _, D, base, nr, nw, a_np = _flatten(system, starts, False)
+    A, G, W, _, D, base, a_np = _flatten(system, starts, False)
     mb, mc, mr = _mem_decode(a_np, memory.mapping)
     tags_cache = design.tags
     si_np = a_np % tags_cache.num_sets
@@ -1784,9 +1782,9 @@ def _run_lh(system, starts):
         design, readlat, hitlat, misslat,
         (stq, [mmlf] * len(readlat), stt, std, stm), unat
     )
-    _finish_cores(system, finish, last_read, nr, nw)
     system.events_processed += events
     system.now = now
+    return finish
 
 
 # ----------------------------------------------------------------------
@@ -1819,7 +1817,7 @@ def _run_alloy(system, starts):
         ]
     else:
         pk = dkind  # 0 = none, 1 = MissMap, 2 = Perfect
-    A, G, W, P, D, base, nr, nw, a_np = _flatten(system, starts, pk == 3)
+    A, G, W, P, D, base, a_np = _flatten(system, starts, pk == 3)
     mb, mc, mr = _mem_decode(a_np, memory.mapping)
     si_np = a_np % design._num_sets
     SI = si_np.tolist()
@@ -2329,6 +2327,6 @@ def _run_alloy(system, starts):
     _writeback_reads(
         design, readlat, hitlat, misslat, (stq, stp, stt, std, stm), unat
     )
-    _finish_cores(system, finish, last_read, nr, nw)
     system.events_processed += events
     system.now = now
+    return finish

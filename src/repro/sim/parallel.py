@@ -263,6 +263,13 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
+    @property
+    def trace_dir(self) -> Optional[Path]:
+        """Where the trace arenas of cells served by this cache live: next
+        to its results when it persists them, else the default arena
+        (a cache that does not persist never creates its directory)."""
+        return self.directory / TRACE_SUBDIR if self.persist else None
+
     # -- lookup ---------------------------------------------------------
     def get(self, key: str) -> Optional[SimResult]:
         """Cached result for ``key`` (memory first, then disk), else None."""

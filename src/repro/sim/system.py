@@ -100,7 +100,6 @@ class System:
             self.design = make_design(
                 design, config, self.stacked, self.memory, self.schedule
             )
-        self._cores: List[Core] = []
         # Invariant layer: installed only when explicitly enabled (config
         # flag or REPRO_VERIFY=1); None means the hot path is untouched.
         from repro.verify.invariants import maybe_install
@@ -151,20 +150,28 @@ class System:
     # Warmup
     # ------------------------------------------------------------------
     def _warm(self) -> List[int]:
-        """Functionally replay leading records; returns per-core start index."""
-        starts = []
-        for core_id, trace in enumerate(self.workload.cores):
-            split = warmup_split(trace, self.warmup_fraction)
-            starts.append(split)
+        """Functionally replay leading records; returns per-core start index.
+
+        Designs that inherit the no-op :meth:`DramCacheDesign.warm` (the
+        baselines) have nothing to replay, so only the splits are computed.
+        """
+        starts = [
+            warmup_split(trace, self.warmup_fraction)
+            for trace in self.workload.cores
+        ]
+        if type(self.design).warm is DramCacheDesign.warm:
+            return starts
+        warm = self.design.warm
+        for core_id, (trace, split) in enumerate(zip(self.workload.cores, starts)):
             if not split:
                 continue
-            addresses = trace.addresses[:split]
-            writes = trace.is_write[:split]
-            pcs = trace.pcs[:split]
+            # tolist() already yields native ints and bools.
             for addr, is_write, pc in zip(
-                addresses.tolist(), writes.tolist(), pcs.tolist()
+                trace.addresses[:split].tolist(),
+                trace.is_write[:split].tolist(),
+                trace.pcs[:split].tolist(),
             ):
-                self.design.warm(int(addr), bool(is_write), int(pc), core_id)
+                warm(addr, is_write, pc, core_id)
         return starts
 
     # ------------------------------------------------------------------
@@ -182,11 +189,11 @@ class System:
                 return result
 
         starts = self._warm()
-        self._cores = [
+        cores = [
             Core(core_id, trace, start_index=starts[core_id])
             for core_id, trace in enumerate(self.workload.cores)
         ]
-        for core in self._cores:
+        for core in cores:
             if core.has_next():
                 self.schedule(core.peek_gap(), self._make_core_event(core))
 
@@ -202,7 +209,7 @@ class System:
             fn(when)
         self.events_processed += events
 
-        return self._collect()
+        return self._collect([core.finish_time for core in cores])
 
     def _make_core_event(self, core: Core) -> Callable[[float], None]:
         """One reusable event closure per core (rescheduled, not re-created)."""
@@ -268,8 +275,9 @@ class System:
     # ------------------------------------------------------------------
     # Result assembly
     # ------------------------------------------------------------------
-    def _collect(self) -> SimResult:
-        per_core = [core.finish_time for core in self._cores]
+    def _collect(self, per_core: List[float]) -> SimResult:
+        """Assemble the result from each core's finish cycle and the
+        design/device state either engine leaves behind."""
         cycles = sum(per_core) / len(per_core) if per_core else 0.0
         design = self.design
         timed_fraction = 1.0 - self.warmup_fraction

@@ -48,7 +48,8 @@ DEVICE_MATRIX: Tuple[Tuple[DramTimings, str], ...] = (
 #: Designs and benchmarks the System-level differential rotates through
 #: (one combination drawn per system seed). Covers every batch-kernel
 #: family: direct-mapped Alloy, set-associative (LH/SRAM-tag plus the
-#: multi-way Alloy), the victim buffer, and the tagless ideal bound.
+#: multi-way Alloy), the victim buffer, the tagless ideal bound, and the
+#: perfect L3 (which shares the no-cache kernel).
 SYSTEM_DESIGNS = (
     "alloy-map-i",
     "lh-cache",
@@ -56,6 +57,7 @@ SYSTEM_DESIGNS = (
     "ideal-lo",
     "alloy-2way",
     "alloy-victim16",
+    "perfect-l3",
 )
 SYSTEM_BENCHMARKS = ("mcf_r", "gcc_r", "milc_r", "lbm_r")
 #: MSHRs-per-core values the system seeds rotate through — >1 exercises

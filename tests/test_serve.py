@@ -81,6 +81,28 @@ class TestProtocolBasics:
                 with pytest.raises(ServeError, match="cells"):
                     client.submit([])
 
+    @pytest.mark.parametrize("kib", [100, 512])
+    @pytest.mark.parametrize("preamble", [False, True])
+    def test_oversized_frame_is_a_coded_error(self, tmp_path, preamble, kib):
+        """A line past the 64 KiB frame limit, as the first message or
+        mid-session, gets bad-request and a clean close, not a reset
+        (512 KiB outruns one socket read, so its tail is still unread)."""
+        frame = b'{"op": "' + b"x" * (kib * 1024) + b'"}\n'
+        with ServerThread(serve_config(tmp_path)) as server:
+            with ServeClient(port=server.port) as client:
+                if preamble:
+                    client.ping()
+                client._fh.write(frame)
+                client._fh.flush()
+                event = client.recv()
+                assert event["event"] == "error"
+                assert event["code"] == "bad-request"
+                assert "frame limit" in event["error"]
+                with pytest.raises(ConnectionError, match="closed"):
+                    client.recv()
+            with ServeClient(port=server.port) as other:
+                assert other.hello()["protocol"] == 1
+
 
 class TestSubmit:
     def test_streams_every_cell_then_done_bit_identical(self, tmp_path):
@@ -378,6 +400,61 @@ class TestMetricsEndpoint:
             response.read()
             conn.close()
             assert response.status == 404
+
+
+def npz_files(root):
+    return sorted(path.relative_to(root) for path in root.rglob("*.npz"))
+
+
+class TestCacheDir:
+    """``--cache-dir`` moves trace arenas along with results: nothing is
+    written under ``REPRO_CACHE_DIR`` (here pointed at a sibling dir)."""
+
+    def test_cli_cache_dir_holds_traces(self, tmp_path):
+        from repro.jobs.manager import cell_to_dict
+
+        cells = grid(("gcc_r",), seed=43)
+        script = "".join(
+            json.dumps(message) + "\n"
+            for message in (
+                {"op": "submit", "cells": [cell_to_dict(c) for c in cells]},
+                {"op": "bye"},
+            )
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "env")
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from repro.cli import main; sys.exit(main(["
+                f"'serve', '--stdio', '--cache-dir', {str(tmp_path / 'cache')!r}"
+                "]))",
+            ],
+            input=script,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        kinds = [json.loads(line)["event"] for line in proc.stdout.splitlines()]
+        assert "done" in kinds, kinds
+        traces = npz_files(tmp_path)
+        assert traces
+        assert all(path.parts[:2] == ("cache", "traces") for path in traces)
+
+    def test_pooled_jobs_fetch_traces_under_cache_dir(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        with ServerThread(serve_config(tmp_path, workers=2)) as server:
+            with ServeClient(port=server.port) as client:
+                client.submit(grid(("gcc_r",), seed=44))
+        traces = npz_files(tmp_path)
+        assert traces
+        assert all(path.parts[:2] == ("cache", "traces") for path in traces)
 
 
 class TestStdio:

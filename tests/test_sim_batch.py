@@ -13,6 +13,8 @@ import dataclasses
 
 import pytest
 
+from repro.dram.device import DramDevice
+from repro.dramcache.no_cache import NoCacheDesign
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.workloads.spec import build_workload
@@ -20,6 +22,7 @@ from repro.workloads.spec import build_workload
 #: Every design the batch engine has a kernel for.
 BATCH_DESIGNS = (
     "no-cache",
+    "perfect-l3",
     "sram-tag",
     "sram-tag-1way",
     "lh-cache",
@@ -41,9 +44,27 @@ BATCH_DESIGNS = (
     "alloy-victim64",
 )
 
-#: Designs the engine must decline (no kernel: the L3-filter design is
-#: the only factory design left outside the envelope).
-FALLBACK_DESIGNS = ("perfect-l3",)
+
+
+class _CustomNoCache(NoCacheDesign):
+    """A subclassed design: kernels match exact types, so it has none."""
+
+
+class _SubclassedDevice(DramDevice):
+    """A subclassed device: it may override the arithmetic kernels inline."""
+
+
+def _custom_builder(config, stacked, memory, schedule):
+    return _CustomNoCache(config, stacked, memory, schedule)
+
+
+#: Configurations the engine must decline, as (design, device_cls): every
+#: factory design has a kernel, so only custom builders and subclassed
+#: devices (besides verify runs and non-LRU multi-way Alloy) fall back.
+FALLBACKS = {
+    "custom-builder": (_custom_builder, None),
+    "subclassed-device": ("no-cache", _SubclassedDevice),
+}
 
 
 def _config(**overrides):
@@ -99,7 +120,9 @@ class TestBitExactness:
         assert_identical(got, want)
         assert got.hit_latency_p95 is None or got.hit_latency_p95 == 0.0
 
-    @pytest.mark.parametrize("design", ["lh-cache", "sram-tag", "no-cache"])
+    @pytest.mark.parametrize(
+        "design", ["lh-cache", "sram-tag", "no-cache", "perfect-l3"]
+    )
     def test_matches_under_closed_page_policies(self, design):
         _, want, batch, got = _pair(
             design,
@@ -118,7 +141,8 @@ class TestBitExactness:
         assert_identical(got, want)
 
     @pytest.mark.parametrize(
-        "design", ["alloy-map-i", "lh-cache", "alloy-victim16", "alloy-2way"]
+        "design",
+        ["alloy-map-i", "lh-cache", "alloy-victim16", "alloy-2way", "perfect-l3"],
     )
     @pytest.mark.parametrize("mshrs", [2, 4])
     def test_matches_with_mlp_cores(self, design, mshrs):
@@ -135,12 +159,22 @@ class TestBitExactness:
 
 
 class TestFallback:
-    @pytest.mark.parametrize("design", FALLBACK_DESIGNS)
-    def test_unkerneled_designs_fall_back(self, design):
-        config = _config(engine="batch")
-        system = System(config, design, _workload(config))
-        system.run()
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_unkerneled_designs_fall_back(self, case):
+        design, device_cls = FALLBACKS[case]
+        config = _config()
+        workload = _workload(config)
+        want = System(
+            dataclasses.replace(config, engine="interp"), design, workload,
+            device_cls=device_cls,
+        ).run()
+        system = System(
+            dataclasses.replace(config, engine="batch"), design, workload,
+            device_cls=device_cls,
+        )
+        got = system.run()
         assert system.engine_used == "interp"
+        assert_identical(got, want)
 
     def test_non_lru_multiway_alloy_falls_back(self):
         # The multi-way kernels inline LRU transitions specifically; a
@@ -199,7 +233,7 @@ class TestEngineSelection:
 
     def test_auto_falls_back_outside_envelope(self):
         config = _config(engine="auto")
-        system = System(config, "perfect-l3", _workload(config))
+        system = System(config, _custom_builder, _workload(config))
         system.run()
         assert system.engine_used == "interp"
 
@@ -324,15 +358,17 @@ class TestIntegration:
         config = _config()
         from repro.sim.parallel import SweepCell, SweepReport
 
+        # Every factory design has a kernel; a verify run is the sweep
+        # cell that still declines the batch engine.
         cells = [
             SweepCell(
-                design=d,
+                design="alloy-map-i",
                 benchmark="mcf_r",
-                config=config,
+                config=cfg,
                 reads_per_core=80,
                 seed=7,
             )
-            for d in ("alloy-map-i", "perfect-l3")
+            for cfg in (config, dataclasses.replace(config, verify=True))
         ]
         report = run_sweep(cells, use_cache=False)
         assert isinstance(report, SweepReport)
