@@ -841,11 +841,11 @@ def build_check_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro check",
         description=(
-            "Differential correctness check: fuzz the inlined DramDevice "
-            "hot path against the reference oracle (bit-identical "
-            "AccessResults, timelines, and stats), run paired full-system "
-            "simulations, and exercise the runtime invariant layer "
-            "(see repro.verify)"
+            "Differential correctness check: fuzz the batch engine's DRAM "
+            "fast path against the reference DramDevice (bit-identical "
+            "access timing, timelines, and counters), run paired "
+            "interpreter/batch full-system simulations, and exercise the "
+            "runtime invariant layer (see repro.verify)"
         ),
     )
     parser.add_argument(

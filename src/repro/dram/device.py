@@ -30,14 +30,11 @@ This keeps the two properties the paper's analysis needs:
    Section 2.5) build background backlogs that throttle their own demand
    accesses, while lean designs' reads barely notice their write traffic.
 
-Implementation note: ``access()`` is the hottest function in the whole
-simulator (every simulated read triggers 1-5 device accesses), so it
-trades a little readability for speed — the timeline reservation
-arithmetic is inlined (kept expression-for-expression identical to
-:meth:`PriorityTimeline.reserve`, which remains the reference
-implementation), integer counters are batched into plain attributes and
-flushed through the :attr:`DramDevice.stats` property, and the timing
-constants are precomputed once per device.
+This module is the reference model: :meth:`DramDevice.access` is two
+:meth:`PriorityTimeline.reserve` calls plus plain counter/accumulator
+updates. The batch engine (:mod:`repro.sim.batch`) carries the one fast
+copy of the same arithmetic, and the differential fuzzer behind
+``repro check`` holds that copy bit-identical to this one.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from typing import List, Optional
 from repro.dram.mapping import AddressMapping, RowLocation
 from repro.dram.timings import DramTimings
 from repro.lifecycle import LatencyBreakdown
-from repro.stats import Accumulator, StatGroup
+from repro.stats import StatGroup
 from repro.units import LINE_SIZE
 
 #: Background operations that may queue per resource before demand accesses
@@ -160,13 +157,10 @@ class AccessResult:
 class PriorityTimeline:
     """A reservable resource with demand/background priority classes.
 
-    ``DramDevice.access`` inlines this arithmetic for speed; this class is
-    the reference implementation (and what unit tests exercise directly).
-    Any behavioral change here must be mirrored in the inlined copy — and
-    the mirror contract is enforced continuously by
-    :class:`repro.verify.oracle.OracleDramDevice` plus the differential
-    fuzzer behind ``repro check``, which drive both implementations with
-    identical streams and require bit-identical results.
+    Every bank and every channel bus of a :class:`DramDevice` is one of
+    these. :func:`repro.sim.batch._device_fns` re-implements
+    :meth:`reserve` over flat horizon lists for speed; the differential
+    fuzzer (:mod:`repro.verify.fuzzer`) requires it to stay bit-identical.
     """
 
     __slots__ = ("demand_free", "all_free")
@@ -235,121 +229,22 @@ class DramDevice:
         self._buses: List[PriorityTimeline] = [
             PriorityTimeline() for _ in range(timings.channels)
         ]
-        self._stats = StatGroup(self.name)
-        # --- hot-path precomputation -----------------------------------
-        self._open_policy = page_policy == "open"
-        self._banks_per_channel = timings.banks_per_channel
-        self._t_cas = timings.t_cas
-        self._t_act = timings.t_act
-        self._act_conflict = timings.t_rp + timings.t_act
-        self._cas_f = float(timings.t_cas)
-        self._line_burst = timings.line_burst
-        self._block_cap_value = timings.t_cas + timings.line_burst
-        self._watermark_value = BACKGROUND_BACKLOG_OPS * self._block_cap_value
-        # The bus serves one background line in ``line_burst`` cycles, so
-        # its watermark is sized in bus-service units (the bank-sized
-        # watermark previously used here made the bus drain threshold ~8x
-        # too deep — adjudicated by the differential oracle, see
-        # ``repro.verify``).
-        self._bus_watermark_value = BACKGROUND_BACKLOG_OPS * timings.line_burst
-        # Bytes for a full-line burst; int(burst * LINE_SIZE / line_burst)
-        # is exact for burst == line_burst, so the fast path is identical.
-        self._full_line_bytes = int(
-            timings.line_burst * LINE_SIZE / timings.line_burst
-        )
-        # One tuple holding every per-access constant: a single attribute
-        # load + unpack at the top of ``access`` instead of eight loads.
-        self._hot = (
-            self._t_act,
-            self._act_conflict,
-            self._t_cas,
-            self._cas_f,
-            self._line_burst,
-            self._block_cap_value,
-            self._watermark_value,
-            self._bus_watermark_value,
-            self._full_line_bytes,
-            float(self._t_act),
-            float(self._act_conflict),
-            float(timings.line_burst),
-        )
-        # Batched integer counters, flushed by the ``stats`` property.
-        # Exact: integer addition is associative, so flush order does not
-        # change the totals the way float batching would.
-        self._n_accesses = 0
-        self._n_row_hits = 0
-        self._n_reads = 0
-        self._n_writes = 0
-        self._n_background = 0
-        self._n_bus_cycles = 0
-        self._n_activations = 0
-        self._n_bytes = 0
-        # Accumulators keep per-sample op order (float sums must not be
-        # batched or reassociated); the refs are bound lazily so the stat
-        # group's key set matches the unoptimized lazy-creation behavior.
-        self._acc_queue: Optional[Accumulator] = None
-        self._acc_bus_queue: Optional[Accumulator] = None
-        self._acc_demand_queue: Optional[Accumulator] = None
-        self._acc_demand_bus_queue: Optional[Accumulator] = None
-        self._acc_latency: Optional[Accumulator] = None
-
-    @property
-    def stats(self) -> StatGroup:
-        """The device stat group, with any batched hot-path deltas flushed.
-
-        The zero-delta guards preserve lazy counter creation: a counter
-        appears in the group only once it has actually been incremented,
-        exactly as with direct ``counter(name).add()`` calls.
-        """
-        group = self._stats
-        if self._n_accesses:
-            group.counter("accesses").value += self._n_accesses
-            self._n_accesses = 0
-        if self._n_row_hits:
-            group.counter("row_hits").value += self._n_row_hits
-            self._n_row_hits = 0
-        if self._n_reads:
-            group.counter("read_accesses").value += self._n_reads
-            self._n_reads = 0
-        if self._n_writes:
-            group.counter("write_accesses").value += self._n_writes
-            self._n_writes = 0
-        if self._n_background:
-            group.counter("background_accesses").value += self._n_background
-            self._n_background = 0
-        if self._n_bus_cycles:
-            group.counter("bus_cycles").value += self._n_bus_cycles
-            self._n_bus_cycles = 0
-        if self._n_activations:
-            group.counter("activations").value += self._n_activations
-            self._n_activations = 0
-        if self._n_bytes:
-            group.counter("bytes_on_bus").value += self._n_bytes
-            self._n_bytes = 0
-        return group
+        self.stats = StatGroup(self.name)
+        #: Demand blocking behind background on a bank: at most one
+        #: in-flight background line (CAS + burst) cannot be preempted.
+        self.block_cap = timings.t_cas + timings.line_burst
+        #: Background bank backlog tolerated before demand is throttled.
+        self.watermark = BACKGROUND_BACKLOG_OPS * self.block_cap
+        #: The bus serves one background line in ``line_burst`` cycles, so
+        #: its cap and watermark are sized in bus-service units.
+        self.bus_block_cap = timings.line_burst
+        self.bus_watermark = BACKGROUND_BACKLOG_OPS * timings.line_burst
 
     # ------------------------------------------------------------------
     # Core access path
     # ------------------------------------------------------------------
     def _bank_index(self, loc: RowLocation) -> int:
         return loc.channel * self.timings.banks_per_channel + loc.bank
-
-    def _block_cap(self) -> float:
-        """Maximum demand blocking behind background: one burst tail."""
-        return self._block_cap_value
-
-    def _watermark(self) -> float:
-        """Background bank backlog tolerated before demand throttling."""
-        return self._watermark_value
-
-    def _bus_block_cap(self) -> float:
-        """Maximum demand blocking behind background on the bus: one burst."""
-        return self._line_burst
-
-    def _bus_watermark(self) -> float:
-        """Background bus backlog tolerated before demand throttling,
-        in bus-service units (one background line = ``line_burst`` cycles)."""
-        return self._bus_watermark_value
 
     def access(
         self,
@@ -365,181 +260,62 @@ class DramDevice:
         deprioritized traffic (fills, updates, writebacks) as described in
         the module docstring.
         """
-        (
-            t_act,
-            act_conflict,
-            t_cas,
-            cas_f,
-            line_burst,
-            block_cap,
-            watermark,
-            bus_watermark,
-            full_line_bytes,
-            t_act_f,
-            act_conflict_f,
-            line_burst_f,
-        ) = self._hot
+        timings = self.timings
+        line_burst = timings.line_burst
         if burst_cycles is None:
             burst_cycles = line_burst
 
-        channel = loc.channel
-        row = loc.row
-        bank_idx = channel * self._banks_per_channel + loc.bank
-        open_rows = self._open_row
-        open_row = open_rows[bank_idx]
-        row_hit = open_row == row
+        bank_idx = self._bank_index(loc)
+        open_row = self._open_row[bank_idx]
+        row_hit = open_row == loc.row
         if row_hit:
             act_cycles = 0
-            act_f = 0.0
         elif open_row is None:
-            act_cycles = t_act
-            act_f = t_act_f
+            act_cycles = timings.t_act
         else:
-            act_cycles = act_conflict
-            act_f = act_conflict_f
-        core_latency = act_cycles + t_cas
+            act_cycles = timings.t_rp + timings.t_act
+        core_latency = act_cycles + timings.t_cas
 
-        bank_service = core_latency + burst_cycles
-
-        # Inlined PriorityTimeline.reserve (bank): expression-for-expression
-        # identical to the reference method, so float results match bit-wise.
-        bank = self._banks[bank_idx]
-        if background:
-            free = bank.all_free
-            start = now if now >= free else free
-            bank.all_free = start + bank_service
-        else:
-            free = bank.demand_free
-            start = now if now >= free else free
-            backlog = bank.all_free - start
-            if backlog > 0:
-                blocked = backlog if backlog <= block_cap else block_cap
-                drain = backlog - watermark
-                start += blocked + (drain if drain > 0.0 else 0.0)
-            bank.demand_free = start + bank_service
-            free = bank.all_free
-            bank.all_free = (free if free >= start else start) + bank_service
-
+        start = self._banks[bank_idx].reserve(
+            now, core_latency + burst_cycles, background, self.block_cap,
+            self.watermark,
+        )
         queue_delay = start - now
         data_ready = start + core_latency
-
-        # Inlined PriorityTimeline.reserve (channel bus).
-        bus = self._buses[channel]
-        if background:
-            free = bus.all_free
-            bus_start = data_ready if data_ready >= free else free
-            bus.all_free = bus_start + burst_cycles
-        else:
-            free = bus.demand_free
-            bus_start = data_ready if data_ready >= free else free
-            backlog = bus.all_free - bus_start
-            if backlog > 0:
-                blocked = backlog if backlog <= line_burst else line_burst
-                drain = backlog - bus_watermark
-                bus_start += blocked + (drain if drain > 0.0 else 0.0)
-            bus.demand_free = bus_start + burst_cycles
-            free = bus.all_free
-            bus.all_free = (free if free >= bus_start else bus_start) + burst_cycles
-
+        bus_start = self._buses[loc.channel].reserve(
+            data_ready, burst_cycles, background, self.bus_block_cap,
+            self.bus_watermark,
+        )
         bus_queue_delay = bus_start - data_ready
         done = bus_start + burst_cycles
-        open_rows[bank_idx] = row if self._open_policy else None
+        self._open_row[bank_idx] = loc.row if self.page_policy == "open" else None
 
-        self._n_accesses += 1
-        if row_hit:
-            self._n_row_hits += 1
-        else:
-            self._n_activations += 1
-        if is_write:
-            self._n_writes += 1
-        else:
-            self._n_reads += 1
+        stats = self.stats
+        stats.counter("accesses").add()
+        stats.counter("row_hits" if row_hit else "activations").add()
+        stats.counter("write_accesses" if is_write else "read_accesses").add()
         if background:
-            self._n_background += 1
-        self._n_bus_cycles += burst_cycles
-        if burst_cycles == line_burst:
-            self._n_bytes += full_line_bytes
-            burst_f = line_burst_f
-        else:
-            self._n_bytes += int(burst_cycles * LINE_SIZE / line_burst)
-            burst_f = float(burst_cycles)
-
-        # Accumulator.sample inlined (same ops in the same per-sample
-        # order, so float sums stay bit-identical): five samples per
-        # access made the call overhead a measurable slice of the run.
-        acc = self._acc_queue
-        if acc is None:
-            acc = self._acc_queue = self._stats.accumulator("queue_delay")
-        acc.total += queue_delay
-        acc.count += 1
-        m = acc.min
-        if m is None or queue_delay < m:
-            acc.min = queue_delay
-        m = acc.max
-        if m is None or queue_delay > m:
-            acc.max = queue_delay
-        acc = self._acc_bus_queue
-        if acc is None:
-            acc = self._acc_bus_queue = self._stats.accumulator("bus_queue_delay")
-        acc.total += bus_queue_delay
-        acc.count += 1
-        m = acc.min
-        if m is None or bus_queue_delay < m:
-            acc.min = bus_queue_delay
-        m = acc.max
-        if m is None or bus_queue_delay > m:
-            acc.max = bus_queue_delay
+            stats.counter("background_accesses").add()
+        stats.counter("bus_cycles").add(burst_cycles)
+        stats.counter("bytes_on_bus").add(int(burst_cycles * LINE_SIZE / line_burst))
+        stats.accumulator("queue_delay").sample(queue_delay)
+        stats.accumulator("bus_queue_delay").sample(bus_queue_delay)
         if not background:
-            acc = self._acc_demand_queue
-            if acc is None:
-                acc = self._acc_demand_queue = self._stats.accumulator(
-                    "demand_queue_delay"
-                )
-            acc.total += queue_delay
-            acc.count += 1
-            m = acc.min
-            if m is None or queue_delay < m:
-                acc.min = queue_delay
-            m = acc.max
-            if m is None or queue_delay > m:
-                acc.max = queue_delay
-            acc = self._acc_demand_bus_queue
-            if acc is None:
-                acc = self._acc_demand_bus_queue = self._stats.accumulator(
-                    "demand_bus_queue_delay"
-                )
-            acc.total += bus_queue_delay
-            acc.count += 1
-            m = acc.min
-            if m is None or bus_queue_delay < m:
-                acc.min = bus_queue_delay
-            m = acc.max
-            if m is None or bus_queue_delay > m:
-                acc.max = bus_queue_delay
-        latency = done - now
-        acc = self._acc_latency
-        if acc is None:
-            acc = self._acc_latency = self._stats.accumulator("access_latency")
-        acc.total += latency
-        acc.count += 1
-        m = acc.min
-        if m is None or latency < m:
-            acc.min = latency
-        m = acc.max
-        if m is None or latency > m:
-            acc.max = latency
+            stats.accumulator("demand_queue_delay").sample(queue_delay)
+            stats.accumulator("demand_bus_queue_delay").sample(bus_queue_delay)
+        stats.accumulator("access_latency").sample(done - now)
 
-        result = AccessResult.__new__(AccessResult)
-        result.start = start
-        result.data_ready = data_ready
-        result.done = done
-        result.row_hit = row_hit
-        result.queue_delay = queue_delay
-        result.bus_queue_delay = bus_queue_delay
-        result.act_cycles = act_f
-        result.cas_cycles = cas_f
-        result.burst_cycles = burst_f
-        return result
+        return AccessResult(
+            start,
+            data_ready,
+            done,
+            row_hit,
+            queue_delay,
+            bus_queue_delay,
+            float(act_cycles),
+            float(timings.t_cas),
+            float(burst_cycles),
+        )
 
     def access_line(
         self,
@@ -592,22 +368,16 @@ class DramDevice:
         Warmup never touches the device (it is purely functional, replaying
         records through the designs' ``warm`` hooks without advancing time),
         so this is only needed when reusing one device across independent
-        simulations, e.g. in unit tests.
+        simulations, e.g. in unit tests. Counters and accumulators are
+        dropped, so the stat group's key set is a fresh device's (they are
+        recreated on first use); registered histograms keep their identity
+        and lose their buckets.
         """
         for bank in self._banks:
             bank.reset()
         for bus in self._buses:
             bus.reset()
         self._open_row = [None] * len(self._open_row)
-        # Discard batched deltas *before* resetting the group — flushing
-        # them through the ``stats`` property here would resurrect
-        # pre-reset counts (the staleness bug this reset guards against).
-        self._n_accesses = 0
-        self._n_row_hits = 0
-        self._n_reads = 0
-        self._n_writes = 0
-        self._n_background = 0
-        self._n_bus_cycles = 0
-        self._n_activations = 0
-        self._n_bytes = 0
-        self._stats.reset()
+        self.stats.counters.clear()
+        self.stats.accumulators.clear()
+        self.stats.reset()

@@ -24,14 +24,13 @@ ever goes missing from the decomposition.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.dram.device import AccessResult, DramDevice
 from repro.dram.mapping import RowLocation
 from repro.lifecycle import STAGES, LatencyBreakdown, MemoryRequest
 from repro.sim.config import SystemConfig
-from repro.stats import Accumulator, Counter, Histogram, StatGroup
+from repro.stats import Histogram, StatGroup
 
 #: Bucket edges (cycles) for hit/read latency distributions.
 LATENCY_BUCKETS = (25, 50, 75, 100, 150, 200, 300, 500)
@@ -134,20 +133,6 @@ class DramCacheDesign(ABC):
         # Percentile (histogram) sampling can be disabled per-run; the
         # means/counters are unaffected, only p95-style outputs go empty.
         self._track_hists = getattr(config, "track_percentiles", True)
-        # Hot-path stat handles, bound lazily on first use so the stat
-        # groups' key sets (which feed ``SimResult.design_stats``) match
-        # the original lazy-creation behavior exactly.
-        self._stage_recorders: Optional[
-            List[Tuple[str, Accumulator, Histogram]]
-        ] = None
-        self._acc_unattributed: Optional[Accumulator] = None
-        self._c_read_hits: Optional[Counter] = None
-        self._c_read_misses: Optional[Counter] = None
-        self._acc_hit_latency: Optional[Accumulator] = None
-        self._acc_miss_latency: Optional[Accumulator] = None
-        self._acc_read_latency: Optional[Accumulator] = None
-        self._c_memory_reads: Optional[Counter] = None
-        self._c_memory_writes: Optional[Counter] = None
 
     # ------------------------------------------------------------------
     # Interface
@@ -208,69 +193,26 @@ class DramCacheDesign(ABC):
         breakdown total and the observed end-to-end latency. Tests pin it at
         zero, so every design's arithmetic stays honest under load.
         """
-        recorders = self._stage_recorders
-        if recorders is None:
-            # First demand read: bind every canonical stage's accumulator
-            # (and histogram) in STAGES order, matching the key order the
-            # unoptimized per-read lazy lookups produced.
-            recorders = self._stage_recorders = [
-                (
-                    stage,
-                    self.stage_stats.accumulator(stage),
-                    Histogram(stage, LATENCY_BUCKETS),
-                )
-                for stage in STAGES
-            ]
-            if self._track_hists:
-                for stage, _, hist in recorders:
-                    self._stage_hists[stage] = hist
-            acc = self._acc_unattributed = self.stats.accumulator(
-                "unattributed_cycles"
-            )
-        else:
-            acc = self._acc_unattributed
-
         stages = breakdown._stages
         gap = abs(latency - sum(stages.values()))
-        v = gap if gap > ATTRIBUTION_EPSILON else 0.0
-        acc.total += v
-        acc.count += 1
-        m = acc.min
-        if m is None or v < m:
-            acc.min = v
-        m = acc.max
-        if m is None or v > m:
-            acc.max = v
-        stages_get = stages.get
-        # Accumulator.sample / Histogram.sample inlined (same ops, same
-        # order): five stages per demand read made the call overhead a
-        # measurable slice of the whole simulation.
-        if self._track_hists:
-            for stage, stage_acc, hist in recorders:
-                cycles = stages_get(stage, 0.0)
-                stage_acc.total += cycles
-                stage_acc.count += 1
-                m = stage_acc.min
-                if m is None or cycles < m:
-                    stage_acc.min = cycles
-                m = stage_acc.max
-                if m is None or cycles > m:
-                    stage_acc.max = cycles
-                hist.counts[bisect_left(hist.edges, cycles)] += 1
-        else:
-            for stage, stage_acc, _ in recorders:
-                cycles = stages_get(stage, 0.0)
-                stage_acc.total += cycles
-                stage_acc.count += 1
-                m = stage_acc.min
-                if m is None or cycles < m:
-                    stage_acc.min = cycles
-                m = stage_acc.max
-                if m is None or cycles > m:
-                    stage_acc.max = cycles
+        self.stats.accumulator("unattributed_cycles").sample(
+            gap if gap > ATTRIBUTION_EPSILON else 0.0
+        )
+        for stage in STAGES:
+            cycles = stages.get(stage, 0.0)
+            self.stage_stats.accumulator(stage).sample(cycles)
+            if self._track_hists:
+                self._stage_histogram(stage).sample(cycles)
         for stage, cycles in stages.items():
             if stage not in _STAGE_SET:  # forward-compat: custom stages
                 self.stage_stats.accumulator(stage).sample(cycles)
+
+    def _stage_histogram(self, stage: str) -> Histogram:
+        """The p95 histogram of one canonical stage, created on first use."""
+        hist = self._stage_hists.get(stage)
+        if hist is None:
+            hist = self._stage_hists[stage] = Histogram(stage, LATENCY_BUCKETS)
+        return hist
 
     def _attribute(
         self, breakdown: LatencyBreakdown, result: AccessResult, stage: str
@@ -302,73 +244,28 @@ class DramCacheDesign(ABC):
         return acc.total if acc else 0.0
 
     def _record_read(self, hit: bool, latency: float) -> None:
-        # Accumulator.sample bodies are inlined (identical op order) —
-        # this runs once per demand read.
+        stats = self.stats
         if hit:
-            c = self._c_read_hits
-            if c is None:
-                c = self._c_read_hits = self.stats.counter("read_hits")
-            c.value += 1
-            a = self._acc_hit_latency
-            if a is None:
-                a = self._acc_hit_latency = self.stats.accumulator("hit_latency")
-            a.total += latency
-            a.count += 1
-            m = a.min
-            if m is None or latency < m:
-                a.min = latency
-            m = a.max
-            if m is None or latency > m:
-                a.max = latency
+            stats.counter("read_hits").add()
+            stats.accumulator("hit_latency").sample(latency)
             if self._track_hists:
-                hist = self.hit_latency_hist
-                hist.counts[bisect_left(hist.edges, latency)] += 1
+                self.hit_latency_hist.sample(latency)
         else:
-            c = self._c_read_misses
-            if c is None:
-                c = self._c_read_misses = self.stats.counter("read_misses")
-            c.value += 1
-            a = self._acc_miss_latency
-            if a is None:
-                a = self._acc_miss_latency = self.stats.accumulator("miss_latency")
-            a.total += latency
-            a.count += 1
-            m = a.min
-            if m is None or latency < m:
-                a.min = latency
-            m = a.max
-            if m is None or latency > m:
-                a.max = latency
-        a = self._acc_read_latency
-        if a is None:
-            a = self._acc_read_latency = self.stats.accumulator("read_latency")
-        a.total += latency
-        a.count += 1
-        m = a.min
-        if m is None or latency < m:
-            a.min = latency
-        m = a.max
-        if m is None or latency > m:
-            a.max = latency
+            stats.counter("read_misses").add()
+            stats.accumulator("miss_latency").sample(latency)
+        stats.accumulator("read_latency").sample(latency)
         if self._track_hists:
-            hist = self.read_latency_hist
-            hist.counts[bisect_left(hist.edges, latency)] += 1
+            self.read_latency_hist.sample(latency)
 
     def _record_write(self, hit: bool) -> None:
         self.stats.counter("write_hits" if hit else "write_misses").add()
 
     def _memory_read(self, now: float, line_address: int):
-        c = self._c_memory_reads
-        if c is None:
-            c = self._c_memory_reads = self.stats.counter("memory_reads")
-        c.value += 1
+        self.stats.counter("memory_reads").add()
         return self.memory.access_line(now, line_address)
 
     def _memory_write(self, now: float, line_address: int) -> None:
-        c = self._c_memory_writes
-        if c is None:
-            c = self._c_memory_writes = self.stats.counter("memory_writes")
-        c.value += 1
+        self.stats.counter("memory_writes").add()
         self.memory.access_line(now, line_address, is_write=True, background=True)
 
     def _schedule_memory_write(self, when: float, line_address: int) -> None:

@@ -10,8 +10,10 @@ loop for throughput while producing **bit-identical** :class:`SimResult`s:
   lengths, and MAP-I predictor table indices.
 * **Compact scalar core**: the serial part (bank/bus timeline reservations,
   replacement state, predictor training) runs in one flat event loop over
-  integer-coded heap tuples, with the per-access device reservation inlined
-  expression-for-expression from :meth:`repro.dram.device.DramDevice.access`.
+  integer-coded heap tuples. The per-access device reservation is the one
+  fast copy of :meth:`repro.dram.device.PriorityTimeline.reserve` (as the
+  reference :meth:`repro.dram.device.DramDevice.access` composes it); the
+  differential fuzzer behind ``repro check`` holds it bit-identical.
 * **Deferred statistics**: latency samples are appended to plain lists in
   event order and folded into the accumulators/histograms once at the end.
   The fold is a left fold in sample order starting from the accumulator's
@@ -25,7 +27,7 @@ skip accumulator sampling; everything observable is reproduced exactly.
 
 Engine selection lives in :meth:`repro.sim.system.System.run`; this module's
 :func:`run` returns ``None`` when a configuration is outside the supported
-envelope (oracle devices, unknown design or policy types), and the caller
+envelope (verify runs, unknown design or policy types), and the caller
 falls back to the interpreter. The envelope covers every design family —
 including multi-way Alloy, the victim-buffer variant and MLP cores
 (``mshrs_per_core > 1``, handled by a shared per-core in-flight list in
@@ -47,16 +49,14 @@ from repro.core.predictors import (
     PamPredictor,
     SamPredictor,
 )
-from repro.dram.device import DramDevice
 from repro.dramcache.alloy import AlloyCacheDesign, _SCENARIO_KEYS
 from repro.dramcache.alloy_victim import VICTIM_HIT_CYCLES, AlloyVictimDesign
-from repro.dramcache.base import ATTRIBUTION_EPSILON, LATENCY_BUCKETS
+from repro.dramcache.base import ATTRIBUTION_EPSILON
 from repro.dramcache.ideal_lo import IdealLODesign
 from repro.dramcache.lh_cache import LHCacheDesign, TAG_CHECK_CYCLES
 from repro.dramcache.no_cache import NoCacheDesign, PerfectL3Design
 from repro.dramcache.sram_tag import SramTagDesign
 from repro.lifecycle import STAGES
-from repro.stats import Histogram
 from repro.units import LINE_SIZE
 
 #: Replacement policies whose lookup-path side effects the kernels inline.
@@ -82,12 +82,6 @@ def run(system) -> Optional["object"]:
     configuration is outside the supported envelope (caller falls back to
     the interpreter). All eligibility checks happen before any mutation."""
     if system.checker is not None:
-        return None
-    # Exact types only: OracleDramDevice (verify layer) overrides the
-    # reservation arithmetic the kernels inline.
-    if type(system.memory) is not DramDevice:
-        return None
-    if type(system.stacked) is not DramDevice:
         return None
     kernel = _select_kernel(system.design)
     if kernel is None:
@@ -207,22 +201,56 @@ def _row_decode(row_np, device):
     return bank_index.tolist(), channel.tolist(), row.tolist()
 
 
-def _device_fns(dev):
-    """Build ``(demand, background, flush)`` access closures over one device.
+def _device_consts(dev):
+    """Per-access constants of ``dev``'s reservation arithmetic.
 
-    Each closure is the reservation arithmetic of
-    :meth:`repro.dram.device.DramDevice.access` inlined expression-for-
-    expression (bit-identical floats) and skipping the accumulator sampling
-    (not observable in :class:`SimResult`). ``demand`` returns
+    ``(t_act, act_conflict, t_cas, cas_f, line_burst, block_cap, watermark,
+    bus_block_cap, bus_watermark, full_line_bytes, t_act_f, act_conflict_f,
+    line_burst_f)``: timings, the device's block caps and watermarks, and
+    the float forms :class:`~repro.dram.device.AccessResult` carries.
+    """
+    timings = dev.timings
+    t_act = timings.t_act
+    act_conflict = timings.t_rp + timings.t_act
+    line_burst = timings.line_burst
+    return (
+        t_act,
+        act_conflict,
+        timings.t_cas,
+        float(timings.t_cas),
+        line_burst,
+        dev.block_cap,
+        dev.watermark,
+        dev.bus_block_cap,
+        dev.bus_watermark,
+        int(line_burst * LINE_SIZE / line_burst),
+        float(t_act),
+        float(act_conflict),
+        float(line_burst),
+    )
+
+
+def _device_fns(dev):
+    """Build ``(demand, background, flush, state)`` over one device.
+
+    Each closure is the reservation arithmetic of the reference
+    :meth:`repro.dram.device.DramDevice.access` — two
+    :meth:`~repro.dram.device.PriorityTimeline.reserve` calls — inlined
+    expression-for-expression (bit-identical floats), skipping the
+    accumulator sampling (not observable in :class:`SimResult`). Block
+    caps and watermarks come from the device's plain attributes.
+    ``demand`` returns
     ``(done, row_hit, queue_cycles, service_cycles)`` pre-combined the way
     :meth:`LatencyBreakdown.attribute_device` folds them; ``background``
     returns ``done`` alone.
 
-    Bank/bus reservation horizons and the batched integer counters live in
+    Bank/bus reservation horizons and the integer counter tallies live in
     closure-local lists and cells while the kernel runs (index/deref ops
-    instead of attribute ops on the hot path); ``flush`` writes them back
-    to the device so post-run consumers (stats, energy) see the usual
-    state. Kernels must call ``flush`` after the event loop drains.
+    instead of attribute ops on the hot path); ``flush`` writes the
+    horizons back and adds the tallies to ``dev.stats`` through the
+    zero-guarded :func:`_flush`, so post-run consumers (stats, energy) see
+    the reference's state. Kernels must call ``flush`` after the event
+    loop drains.
     """
     (
         t_act,
@@ -232,16 +260,17 @@ def _device_fns(dev):
         line_burst,
         block_cap,
         watermark,
+        bus_block_cap,
         bus_watermark,
         full_line_bytes,
         t_act_f,
         act_conflict_f,
         line_burst_f,
-    ) = dev._hot
+    ) = _device_consts(dev)
     banks = dev._banks
     buses = dev._buses
     open_rows = dev._open_row
-    open_policy = dev._open_policy
+    open_policy = dev.page_policy == "open"
     bank_df = [b.demand_free for b in banks]
     bank_af = [b.all_free for b in banks]
     bus_df = [b.demand_free for b in buses]
@@ -278,7 +307,7 @@ def _device_fns(dev):
         bus_start = data_ready if data_ready >= free else free
         backlog = bus_af[channel] - bus_start
         if backlog > 0:
-            blocked = backlog if backlog <= line_burst else line_burst
+            blocked = backlog if backlog <= bus_block_cap else bus_block_cap
             drain = backlog - bus_watermark
             bus_start += blocked + (drain if drain > 0.0 else 0.0)
         bus_df[channel] = bus_start + burst_cycles
@@ -353,14 +382,7 @@ def _device_fns(dev):
         for i, b in enumerate(buses):
             b.demand_free = bus_df[i]
             b.all_free = bus_af[i]
-        dev._n_accesses += n_acc
-        dev._n_row_hits += n_rh
-        dev._n_activations += n_act
-        dev._n_reads += n_rd
-        dev._n_writes += n_wr
-        dev._n_background += n_bg
-        dev._n_bus_cycles += n_bus
-        dev._n_bytes += n_bytes
+        _flush_device(dev, n_acc, n_rh, n_act, n_rd, n_wr, n_bg, n_bus, n_bytes)
 
     # The timeline lists, shared with the closures: kernels that inline
     # whole access sequences (the LH compound-access paths) operate on
@@ -416,25 +438,31 @@ def _writeback_reads(design, readlat, hitlat, misslat, stage_samples, unat):
     _fold_acc(stats.accumulator("read_latency"), readlat)
     if track:
         _add_hist(design.read_latency_hist, readlat)
-    recorders = []
     for stage, samples in zip(STAGES, stage_samples):
-        acc = design.stage_stats.accumulator(stage)
-        _fold_acc(acc, samples)
-        hist = Histogram(stage, LATENCY_BUCKETS)
+        _fold_acc(design.stage_stats.accumulator(stage), samples)
         if track:
-            _add_hist(hist, samples)
-            design._stage_hists[stage] = hist
-        recorders.append((stage, acc, hist))
-    design._stage_recorders = recorders
-    acc = design.stats.accumulator("unattributed_cycles")
-    design._acc_unattributed = acc
-    _fold_acc(acc, unat)
+            _add_hist(design._stage_histogram(stage), samples)
+    _fold_acc(design.stats.accumulator("unattributed_cycles"), unat)
 
 
 def _flush(group, name, count):
     """Zero-guarded counter flush (preserves lazy counter creation)."""
     if count:
         group.counter(name).value += count
+
+
+def _flush_device(dev, accesses, row_hits, activations, reads, writes,
+                  background, bus_cycles, bytes_on_bus):
+    """Flush one device's access tallies into its stat group."""
+    stats = dev.stats
+    _flush(stats, "accesses", accesses)
+    _flush(stats, "row_hits", row_hits)
+    _flush(stats, "activations", activations)
+    _flush(stats, "read_accesses", reads)
+    _flush(stats, "write_accesses", writes)
+    _flush(stats, "background_accesses", background)
+    _flush(stats, "bus_cycles", bus_cycles)
+    _flush(stats, "bytes_on_bus", bytes_on_bus)
 
 
 # ----------------------------------------------------------------------
@@ -791,14 +819,15 @@ def _run_sram(system, starts):
         s_lburst,
         s_blockcap,
         s_wmark,
+        s_busblk,
         s_buswmark,
         s_flb,
         s_tactf,
         s_tconff,
         s_lburstf,
-    ) = stacked._hot
+    ) = _device_consts(stacked)
     s_open = stacked._open_row
-    s_openpol = stacked._open_policy
+    s_openpol = stacked.page_policy == "open"
     A, G, W, _, D, base, a_np = _flatten(system, starts, False)
     mb, mc, mr = _mem_decode(a_np, memory.mapping)
     tags_cache = design.tags
@@ -967,7 +996,7 @@ def _run_sram(system, starts):
                     bus_start = data_ready if data_ready >= free else free
                     backlog = s_uaf[ch] - bus_start
                     if backlog > 0:
-                        blocked = backlog if backlog <= s_lburst else s_lburst
+                        blocked = backlog if backlog <= s_busblk else s_busblk
                         drain = backlog - s_buswmark
                         bus_start += blocked + (drain if drain > 0.0 else 0.0)
                     s_udf[ch] = bus_start + slb
@@ -1169,14 +1198,9 @@ def _run_sram(system, starts):
     stats = design.stats
     mflush()
     sflush()
-    stacked._n_accesses += k_acc
-    stacked._n_row_hits += k_rh
-    stacked._n_activations += k_act
-    stacked._n_reads += k_rd
-    stacked._n_writes += k_wr
-    stacked._n_background += k_bg
-    stacked._n_bus_cycles += k_bus
-    stacked._n_bytes += k_byt
+    _flush_device(
+        stacked, k_acc, k_rh, k_act, k_rd, k_wr, k_bg, k_bus, k_byt
+    )
     _flush(stats, "write_hits", n_wh)
     _flush(stats, "write_misses", n_wm)
     _flush(stats, "memory_reads", n_mr)
@@ -1216,14 +1240,15 @@ def _run_lh(system, starts):
         s_lburst,
         s_blockcap,
         s_wmark,
+        s_busblk,
         s_buswmark,
         s_flb,
         s_tactf,
         s_tconff,
         s_lburstf,
-    ) = stacked._hot
+    ) = _device_consts(stacked)
     s_open = stacked._open_row
-    s_openpol = stacked._open_policy
+    s_openpol = stacked.page_policy == "open"
     A, G, W, _, D, base, a_np = _flatten(system, starts, False)
     mb, mc, mr = _mem_decode(a_np, memory.mapping)
     tags_cache = design.tags
@@ -1434,7 +1459,7 @@ def _run_lh(system, starts):
                     bus_start = data_ready if data_ready >= free else free
                     backlog = s_uaf[ch] - bus_start
                     if backlog > 0:
-                        blocked = backlog if backlog <= s_lburst else s_lburst
+                        blocked = backlog if backlog <= s_busblk else s_busblk
                         drain = backlog - s_buswmark
                         bus_start += blocked + (drain if drain > 0.0 else 0.0)
                     s_udf[ch] = bus_start + tag_b
@@ -1459,7 +1484,7 @@ def _run_lh(system, starts):
                     bus_start = data_ready if data_ready >= free else free
                     backlog = s_uaf[ch] - bus_start
                     if backlog > 0:
-                        blocked = backlog if backlog <= s_lburst else s_lburst
+                        blocked = backlog if backlog <= s_busblk else s_busblk
                         drain = backlog - s_buswmark
                         bus_start += blocked + (drain if drain > 0.0 else 0.0)
                     s_udf[ch] = bus_start + lb
@@ -1491,7 +1516,7 @@ def _run_lh(system, starts):
                         bus_start = data_ready if data_ready >= free else free
                         backlog = s_uaf[ch] - bus_start
                         if backlog > 0:
-                            blocked = backlog if backlog <= s_lburst else s_lburst
+                            blocked = backlog if backlog <= s_busblk else s_busblk
                             drain = backlog - s_buswmark
                             bus_start += blocked + (drain if drain > 0.0 else 0.0)
                         s_udf[ch] = bus_start + ub
@@ -1754,14 +1779,9 @@ def _run_lh(system, starts):
     stats = design.stats
     mflush()
     sflush()
-    stacked._n_accesses += k_acc
-    stacked._n_row_hits += k_rh
-    stacked._n_activations += k_act
-    stacked._n_reads += k_rd
-    stacked._n_writes += k_wr
-    stacked._n_background += k_bg
-    stacked._n_bus_cycles += k_bus
-    stacked._n_bytes += k_byt
+    _flush_device(
+        stacked, k_acc, k_rh, k_act, k_rd, k_wr, k_bg, k_bus, k_byt
+    )
     _flush(stats, "compound_row_reopens", n_reopen)
     _flush(stats, "replacement_updates", n_upd)
     _flush(stats, "write_hits", n_wh)

@@ -80,6 +80,14 @@ from repro.workloads.arena import (
 #: 2: per-stage latency attribution fields on SimResult (ISSUE 2).
 CACHE_SCHEMA = 2
 
+#: Bump when the model changes what any cell simulates (timing, stats,
+#: design behavior) — i.e. whenever ``tests/goldens/scorecard.json`` is
+#: regenerated. Part of every cell key, so results cached or journaled by
+#: an older model are recomputed instead of served; a test pins the golden
+#: scorecard's digest to this value.
+#: 1: first tracked revision (bus drain watermark in bus-service units).
+MODEL_REVISION = 1
+
 
 def result_signature() -> Tuple[str, ...]:
     """The sorted :class:`SimResult` field names.
@@ -215,14 +223,16 @@ def cell_key(
 
     Includes every ``SystemConfig`` field (a partial key once caused stale
     baselines when sweeping ``mshrs_per_core``), ``warmup_fraction`` (the old
-    in-memory baseline cache omitted it — see ISSUE 1), the package version
-    so model changes invalidate old entries, and the sorted ``SimResult``
-    field names (:func:`result_signature`) so result-shape changes do too.
+    in-memory baseline cache omitted it), :data:`MODEL_REVISION` and the
+    package version so model changes invalidate old entries, and the sorted
+    ``SimResult`` field names (:func:`result_signature`) so result-shape
+    changes do too.
     """
     from repro import __version__
 
     payload = {
         "schema": CACHE_SCHEMA,
+        "model": MODEL_REVISION,
         "version": __version__,
         "result_fields": list(result_signature()),
         "design": design.lower(),

@@ -22,7 +22,7 @@ import heapq
 import os
 import sys
 from itertools import count
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Union
 
 from repro.dram.device import DramDevice
 from repro.dram.energy import system_energy
@@ -57,7 +57,6 @@ class System:
         design: Union[str, Callable],
         workload: Workload,
         warmup_fraction: float = 0.25,
-        device_cls: Optional[type] = None,
     ) -> None:
         if workload.num_cores != config.num_cores:
             raise ValueError(
@@ -68,14 +67,10 @@ class System:
         self.workload = workload
         self.warmup_fraction = warmup_fraction
 
-        # ``device_cls`` swaps the DRAM device implementation — used by the
-        # differential fuzzer to run whole systems against the reference
-        # OracleDramDevice (repro.verify) with everything else identical.
-        device_cls = device_cls or DramDevice
-        self.memory = device_cls(
+        self.memory = DramDevice(
             config.offchip, name="memory", page_policy=config.offchip_page_policy
         )
-        self.stacked = device_cls(
+        self.stacked = DramDevice(
             config.stacked, name="stacked", page_policy=config.stacked_page_policy
         )
         self._heap: List = []
@@ -83,14 +78,9 @@ class System:
         self.now = 0.0
         #: Heap entries popped by :meth:`run` (sweep telemetry).
         self.events_processed = 0
-        # Hot-path constants and a reusable scratch request: one
-        # MemoryRequest is mutated per core event instead of allocated,
-        # which is safe because designs never retain a request past
-        # ``handle()`` (documented on MemoryRequest).
         self._mshrs = config.mshrs_per_core
         self._l3_latency = config.l3_latency
         self._write_issue_cycles = config.write_issue_cycles
-        self._request = MemoryRequest(0, False, 0, 0, 0.0)
         if callable(design):
             # Custom builder: builder(config, stacked, memory, schedule).
             self.design: DramCacheDesign = design(
@@ -239,22 +229,19 @@ class System:
                 return
 
         address, is_write, pc = core.next_record()
-        request = self._request
-        request.line_address = address
-        request.is_write = is_write
-        request.pc = pc
-        request.core_id = core.core_id
         if is_write:
             # Posted writeback: the design handles it off the critical path.
-            request.issue_cycle = now
-            self.design.handle(request)
+            self.design.handle(
+                MemoryRequest(address, is_write, pc, core.core_id, now)
+            )
             completed = now + self._write_issue_cycles
         else:
             # Demand read: L3 lookup (a miss, by trace construction), then
             # the DRAM-cache design.
             arrival = now + self._l3_latency
-            request.issue_cycle = arrival
-            outcome = self.design.handle(request)
+            outcome = self.design.handle(
+                MemoryRequest(address, is_write, pc, core.core_id, arrival)
+            )
             done = outcome.done
             completed = done if done >= arrival else arrival
             if mshrs > 1:

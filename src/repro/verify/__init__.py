@@ -1,18 +1,16 @@
-"""Correctness subsystem: differential oracle, fuzzer, and invariant layer.
+"""Correctness subsystem: differential fuzzer and invariant layer.
 
-``repro.dram.device.DramDevice.access`` is a hand-inlined copy of
-:meth:`~repro.dram.device.PriorityTimeline.reserve` and
-:meth:`~repro.stats.Accumulator.sample` — the hottest function in the
-simulator. The inlining is guarded by a *mirror contract*: any behavioral
-change to the reference must be mirrored in the copy. This package is what
-keeps that contract honest:
+The DRAM reservation arithmetic exists twice: once as the reference
+:meth:`~repro.dram.device.DramDevice.access` (two
+:meth:`~repro.dram.device.PriorityTimeline.reserve` calls plus plain
+stat updates), and once as the batch engine's fast path
+(:func:`repro.sim.batch._device_fns` and the kernels built on it). This
+package keeps the two honest:
 
-* :mod:`repro.verify.oracle` — :class:`OracleDramDevice`, a device that
-  routes every reservation through the reference ``PriorityTimeline.reserve``
-  and every sample through real ``Accumulator.sample`` calls.
-* :mod:`repro.verify.fuzzer` — a differential fuzzer driving inlined and
-  oracle devices (and whole paired :class:`~repro.sim.system.System` runs)
-  with identical seeded randomized streams, requiring bit-identical results.
+* :mod:`repro.verify.fuzzer` — a differential fuzzer driving the reference
+  device and the batch fast path (and whole paired interpreter/batch
+  :class:`~repro.sim.system.System` runs) with identical seeded randomized
+  streams, requiring bit-identical results.
 * :mod:`repro.verify.invariants` — a runtime invariant layer (enabled via
   ``REPRO_VERIFY=1`` or ``SystemConfig(verify=True)``, zero-cost when off)
   checking per-access timing ordering, per-device counter conservation, and
@@ -27,13 +25,11 @@ from repro.verify.invariants import (
     InvariantViolation,
     verify_enabled,
 )
-from repro.verify.oracle import OracleDramDevice
 
 __all__ = [
     "CheckReport",
     "InvariantChecker",
     "InvariantViolation",
-    "OracleDramDevice",
     "run_check",
     "verify_enabled",
 ]

@@ -1,24 +1,26 @@
-"""Differential fuzzer: inlined hot path vs. reference oracle, bit-for-bit.
+"""Differential fuzzer: the batch fast path vs. the reference, bit-for-bit.
 
 Two layers, both driven from ``repro check``:
 
 * **Device streams** — a seeded generator produces randomized access
   streams (mixed demand/background, reads/writes, variable bursts, open and
   closed page policy, and deliberate backlog phases hugging the block-cap
-  and watermark boundaries) and replays each stream through a production
-  :class:`~repro.dram.device.DramDevice` and an
-  :class:`~repro.verify.oracle.OracleDramDevice` built from the same
-  timings. Every ``AccessResult`` must compare equal field-for-field, and
-  at end of stream the bank/bus timelines, open-row state, and flushed
-  stats must match exactly. Each result is also run through the per-access
-  invariant checks.
-* **System runs** — whole paired :class:`~repro.sim.system.System`
-  simulations over randomized small workloads (design, benchmark, core
-  count, and page policies drawn from the seed), asserting field-identical
-  :class:`~repro.sim.results.SimResult` payloads across the interpreter,
-  the batch engine (``engine="batch"``), and the oracle-device run, plus
-  one invariant-enabled run of the same cell proving the invariant layer
-  passes on real workloads.
+  and watermark boundaries) and replays each stream through the reference
+  :meth:`~repro.dram.device.DramDevice.access` and through the batch
+  engine's ``demand``/``background`` closures
+  (:func:`repro.sim.batch._device_fns`) over a second device built from the
+  same timings. Every access must agree on completion time, row hit,
+  queue cycles and service cycles; after the fast path flushes, the
+  bank/bus timelines, open-row state and every device counter must match
+  exactly. Both devices' counters are conservation-checked, and each
+  reference result goes through the per-access invariant checks.
+* **System runs** — paired :class:`~repro.sim.system.System` simulations
+  over randomized small workloads (design, benchmark, core count, MSHRs and
+  page policies drawn from the seed), asserting field-identical
+  :class:`~repro.sim.results.SimResult` payloads between the interpreter
+  and the batch engine (``engine="batch"``), plus one invariant-enabled
+  run of the same cell proving the invariant layer passes on real
+  workloads.
 
 Divergences are collected as human-readable strings (capped) rather than
 raised, so one bad seed reports every layer it broke.
@@ -34,8 +36,8 @@ from typing import Callable, List, Optional, Tuple
 from repro.dram.device import BACKGROUND_BACKLOG_OPS, DramDevice
 from repro.dram.mapping import RowLocation
 from repro.dram.timings import OFFCHIP_DDR3, STACKED_DRAM, DramTimings
+from repro.dramcache.factory import DESIGN_NAMES
 from repro.verify.invariants import InvariantChecker, InvariantViolation
-from repro.verify.oracle import OracleDramDevice
 
 #: (timings, page_policy) combinations every device seed is fuzzed under.
 DEVICE_MATRIX: Tuple[Tuple[DramTimings, str], ...] = (
@@ -46,19 +48,10 @@ DEVICE_MATRIX: Tuple[Tuple[DramTimings, str], ...] = (
 )
 
 #: Designs and benchmarks the System-level differential rotates through
-#: (one combination drawn per system seed). Covers every batch-kernel
-#: family: direct-mapped Alloy, set-associative (LH/SRAM-tag plus the
-#: multi-way Alloy), the victim buffer, the tagless ideal bound, and the
-#: perfect L3 (which shares the no-cache kernel).
-SYSTEM_DESIGNS = (
-    "alloy-map-i",
-    "lh-cache",
-    "sram-tag",
-    "ideal-lo",
-    "alloy-2way",
-    "alloy-victim16",
-    "perfect-l3",
-)
+#: (one combination drawn per system seed): every factory design, so every
+#: batch kernel and each of its predictor/associativity variants is paired
+#: against the interpreter.
+SYSTEM_DESIGNS = DESIGN_NAMES
 SYSTEM_BENCHMARKS = ("mcf_r", "gcc_r", "milc_r", "lbm_r")
 #: MSHRs-per-core values the system seeds rotate through — >1 exercises
 #: the kernels' in-flight (MLP) path against the interpreter's.
@@ -141,18 +134,23 @@ def fuzz_device_pair(
     page_policy: str,
     seed: int,
     accesses: int = 350,
-    dut_factory: Callable[..., DramDevice] = DramDevice,
+    fast_factory: Callable[..., DramDevice] = DramDevice,
 ) -> List[str]:
-    """Replay one seeded stream through dut and oracle; return divergences.
+    """Replay one seeded stream through the reference and the batch fast
+    path; return divergences.
 
-    ``dut_factory`` exists so the test suite can prove the fuzzer *detects*
-    a deliberately broken device, not just that healthy devices agree.
+    ``fast_factory`` builds the device the fast path runs over. It exists
+    so the test suite can prove the fuzzer *detects* a fast path working
+    from a broken policy constant, not just that healthy paths agree.
     """
+    from repro.sim.batch import _device_fns
+
     # str seeds hash deterministically in random.Random (unlike tuple
     # hashes, which PYTHONHASHSEED salts per process).
     rng = random.Random(f"{seed}:{timings.name}:{page_policy}")
-    dut = dut_factory(timings, name="fuzz", page_policy=page_policy)
-    oracle = OracleDramDevice(timings, name="fuzz", page_policy=page_policy)
+    ref = DramDevice(timings, name="fuzz", page_policy=page_policy)
+    fast = fast_factory(timings, name="fuzz", page_policy=page_policy)
+    demand, background_access, flush, _ = _device_fns(fast)
     checker = InvariantChecker()
     divergences: List[str] = []
     where = f"{timings.name}/{page_policy}/seed={seed}"
@@ -160,52 +158,69 @@ def fuzz_device_pair(
     for i, (now, loc, burst, is_write, background) in enumerate(
         _stream(rng, timings, accesses)
     ):
-        got = dut.access(
+        result = ref.access(
             now, loc, burst, is_write=is_write, background=background
         )
-        want = oracle.access(
-            now, loc, burst, is_write=is_write, background=background
+        args = (
+            now,
+            loc.channel * timings.banks_per_channel + loc.bank,
+            loc.channel,
+            loc.row,
+            timings.line_burst if burst is None else burst,
+            is_write,
         )
+        if background:
+            got = (background_access(*args),)
+            want = (result.done,)
+        else:
+            got = demand(*args)
+            want = (
+                result.done,
+                result.row_hit,
+                result.queue_delay + result.bus_queue_delay,
+                result.act_cycles + result.cas_cycles + result.burst_cycles,
+            )
         if got != want:
             divergences.append(
                 f"{where} access #{i} (now={now}, {loc}, burst={burst}, "
                 f"write={is_write}, background={background}): "
-                f"inlined {got!r} != oracle {want!r}"
+                f"fast path {got!r} != reference {want!r}"
             )
         try:
-            checker.check_access("fuzz", now, got)
+            checker.check_access("fuzz", now, result)
         except InvariantViolation as exc:
             divergences.append(f"{where} access #{i}: {exc}")
         if len(divergences) >= MAX_DIVERGENCES:
             return divergences
 
-    for kind, duts, oracles in (
-        ("bank", dut._banks, oracle._banks),
-        ("bus", dut._buses, oracle._buses),
+    flush()
+    for kind, fasts, refs in (
+        ("bank", fast._banks, ref._banks),
+        ("bus", fast._buses, ref._buses),
     ):
-        for idx, (a, b) in enumerate(zip(duts, oracles)):
+        for idx, (a, b) in enumerate(zip(fasts, refs)):
             if (a.demand_free, a.all_free) != (b.demand_free, b.all_free):
                 divergences.append(
-                    f"{where} {kind}[{idx}] timeline: inlined "
-                    f"({a.demand_free}, {a.all_free}) != oracle "
+                    f"{where} {kind}[{idx}] timeline: fast path "
+                    f"({a.demand_free}, {a.all_free}) != reference "
                     f"({b.demand_free}, {b.all_free})"
                 )
-    if dut._open_row != oracle._open_row:
+    if fast._open_row != ref._open_row:
         divergences.append(f"{where}: open-row state diverged")
-    got_stats = dut.stats.as_dict()
-    want_stats = oracle.stats.as_dict()
-    if got_stats != want_stats:
-        keys = set(got_stats) | set(want_stats)
+    got_counts = {k: c.value for k, c in fast.stats.counters.items()}
+    want_counts = {k: c.value for k, c in ref.stats.counters.items()}
+    if got_counts != want_counts:
         bad = {
-            k: (got_stats.get(k), want_stats.get(k))
-            for k in sorted(keys)
-            if got_stats.get(k) != want_stats.get(k)
+            k: (got_counts.get(k), want_counts.get(k))
+            for k in sorted(set(got_counts) | set(want_counts))
+            if got_counts.get(k) != want_counts.get(k)
         }
-        divergences.append(f"{where}: flushed stats diverged: {bad}")
-    try:
-        checker.check_device_totals(dut)
-    except InvariantViolation as exc:
-        divergences.append(f"{where}: {exc}")
+        divergences.append(f"{where}: device counters diverged: {bad}")
+    for label, device in (("reference", ref), ("fast path", fast)):
+        try:
+            checker.check_device_totals(device)
+        except InvariantViolation as exc:
+            divergences.append(f"{where} {label}: {exc}")
     return divergences
 
 
@@ -217,14 +232,13 @@ def fuzz_system_pair(
     reads_per_core: int = 300,
     check_invariants: bool = True,
 ) -> List[str]:
-    """One paired System run: inlined vs oracle devices, identical SimResult.
+    """One paired System run: interpreter vs batch engine, identical
+    SimResult.
 
-    The cell (design, benchmark, core count, page policies) is drawn from
-    the seed so a seed sweep covers the design matrix. The same cell is
-    then run a third time through the batch engine
-    (:mod:`repro.sim.batch`), which must also be field-identical to the
-    oracle. With ``check_invariants`` the cell is run once more with the
-    invariant layer installed — violations surface as divergences.
+    The cell (design, benchmark, core count, MSHRs, page policies) is
+    drawn from the seed so a seed sweep covers the design matrix. With
+    ``check_invariants`` the cell is run once more with the invariant
+    layer installed — violations surface as divergences.
     """
     from dataclasses import replace
 
@@ -258,33 +272,21 @@ def fuzz_system_pair(
     )
     divergences: List[str] = []
 
-    inlined = System(config, design, workload).run()
-    oracle = System(
-        config, design, workload, device_cls=OracleDramDevice
-    ).run()
-    got = dataclasses.asdict(inlined)
-    want = dataclasses.asdict(oracle)
-    for key in got:
-        if got[key] != want[key]:
-            divergences.append(
-                f"{where}: SimResult.{key}: inlined {got[key]!r} != "
-                f"oracle {want[key]!r}"
-            )
-            if len(divergences) >= MAX_DIVERGENCES:
-                return divergences
-
+    want = dataclasses.asdict(
+        System(replace(config, engine="interp"), design, workload).run()
+    )
     batch_system = System(replace(config, engine="batch"), design, workload)
-    batch = dataclasses.asdict(batch_system.run())
+    got = dataclasses.asdict(batch_system.run())
     if batch_system.engine_used != "batch":
         divergences.append(
             f"{where}: batch engine declined an in-envelope cell "
             f"(engine_used={batch_system.engine_used!r})"
         )
-    for key in batch:
-        if batch[key] != want[key]:
+    for key in got:
+        if got[key] != want[key]:
             divergences.append(
-                f"{where}: SimResult.{key}: batch {batch[key]!r} != "
-                f"oracle {want[key]!r}"
+                f"{where}: SimResult.{key}: batch {got[key]!r} != "
+                f"interp {want[key]!r}"
             )
             if len(divergences) >= MAX_DIVERGENCES:
                 return divergences
@@ -324,7 +326,7 @@ class CheckReport:
         ]
         if self.ok:
             lines.append(
-                "OK: zero inlined-vs-oracle divergences, zero invariant "
+                "OK: zero batch-vs-reference divergences, zero invariant "
                 "violations"
             )
         else:

@@ -339,12 +339,12 @@ class TestBusWatermark:
     bank-sized watermark the bus path historically inherited."""
 
     def test_bus_watermark_is_sized_in_bus_service_units(self, stacked):
-        assert stacked._bus_watermark() == (
+        assert stacked.bus_watermark == (
             BACKGROUND_BACKLOG_OPS * STACKED_DRAM.line_burst
         )
-        assert stacked._bus_block_cap() == STACKED_DRAM.line_burst
+        assert stacked.bus_block_cap == STACKED_DRAM.line_burst
         # And it is genuinely distinct from the bank watermark.
-        assert stacked._bus_watermark() != stacked._watermark()
+        assert stacked.bus_watermark != stacked.watermark
 
     def test_bus_backlog_at_watermark_blocks_one_burst_only(self, stacked):
         bus_watermark = BACKGROUND_BACKLOG_OPS * STACKED_DRAM.line_burst
@@ -401,17 +401,11 @@ class TestUtilities:
 
 
 class TestResetStaleness:
-    """``reset()`` must not resurrect pre-reset activity.
-
-    The device batches its integer counters as plain attributes and only
-    flushes them into the :class:`StatGroup` when ``stats`` is read.
-    A reset that cleared the group but left the pending deltas behind
-    would leak the pre-reset counts into the first post-reset ``stats``
-    read — these tests pin the fix.
-    """
+    """``reset()`` must not resurrect pre-reset activity: after a reset
+    the device's stats count only post-reset accesses."""
 
     def test_pending_counter_deltas_cleared(self, stacked):
-        # Accumulate activity WITHOUT reading .stats (deltas stay batched).
+        # Accumulate activity without reading .stats first.
         for _ in range(4):
             stacked.access(0.0, LOC)
         stacked.reset()

@@ -13,7 +13,6 @@ import dataclasses
 
 import pytest
 
-from repro.dram.device import DramDevice
 from repro.dramcache.no_cache import NoCacheDesign
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
@@ -50,20 +49,15 @@ class _CustomNoCache(NoCacheDesign):
     """A subclassed design: kernels match exact types, so it has none."""
 
 
-class _SubclassedDevice(DramDevice):
-    """A subclassed device: it may override the arithmetic kernels inline."""
-
-
 def _custom_builder(config, stacked, memory, schedule):
     return _CustomNoCache(config, stacked, memory, schedule)
 
 
-#: Configurations the engine must decline, as (design, device_cls): every
-#: factory design has a kernel, so only custom builders and subclassed
-#: devices (besides verify runs and non-LRU multi-way Alloy) fall back.
+#: Configurations the engine must decline: every factory design has a
+#: kernel, so only custom builders (besides verify runs and non-LRU
+#: multi-way Alloy) fall back.
 FALLBACKS = {
-    "custom-builder": (_custom_builder, None),
-    "subclassed-device": ("no-cache", _SubclassedDevice),
+    "custom-builder": _custom_builder,
 }
 
 
@@ -161,16 +155,14 @@ class TestBitExactness:
 class TestFallback:
     @pytest.mark.parametrize("case", sorted(FALLBACKS))
     def test_unkerneled_designs_fall_back(self, case):
-        design, device_cls = FALLBACKS[case]
+        design = FALLBACKS[case]
         config = _config()
         workload = _workload(config)
         want = System(
-            dataclasses.replace(config, engine="interp"), design, workload,
-            device_cls=device_cls,
+            dataclasses.replace(config, engine="interp"), design, workload
         ).run()
         system = System(
-            dataclasses.replace(config, engine="batch"), design, workload,
-            device_cls=device_cls,
+            dataclasses.replace(config, engine="batch"), design, workload
         )
         got = system.run()
         assert system.engine_used == "interp"

@@ -1,12 +1,15 @@
 """Tests for the parallel sweep executor and the persistent result cache."""
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.sim.config import SystemConfig
 from repro.sim.parallel import (
+    MODEL_REVISION,
     ResultCache,
     SweepCell,
     cell_key,
@@ -15,6 +18,11 @@ from repro.sim.parallel import (
     run_sweep,
 )
 from repro.sim.results import SimResult
+
+#: sha256 of tests/goldens/scorecard.json at each MODEL_REVISION.
+GOLDEN_DIGESTS = {
+    1: "98e3246d050ee1e5bccecedaa329c189a0b8af2a5489b066bd43eec7b3f34769",
+}
 
 DESIGNS = ("no-cache", "alloy-map-i")
 BENCHMARKS = ("sphinx_r", "gcc_r")
@@ -221,6 +229,29 @@ class TestResultSchema:
         )
         assert cell_key("alloy-map-i", "mcf_r", config, 300, 0.25, 1) != (
             reference
+        )
+
+    def test_model_revision_participates_in_key(self, monkeypatch):
+        import repro.sim.parallel as parallel
+
+        config = tiny_config()
+        reference = cell_key("alloy-map-i", "mcf_r", config, 300, 0.25, 1)
+        monkeypatch.setattr(
+            parallel, "MODEL_REVISION", parallel.MODEL_REVISION + 1
+        )
+        assert cell_key("alloy-map-i", "mcf_r", config, 300, 0.25, 1) != (
+            reference
+        )
+
+    def test_golden_scorecard_is_pinned_to_model_revision(self):
+        """Regenerated goldens mean the model now simulates something
+        else: MODEL_REVISION must move with them, or caches and job
+        journals would keep serving the old model's results."""
+        golden = Path(__file__).parent / "goldens" / "scorecard.json"
+        digest = hashlib.sha256(golden.read_bytes()).hexdigest()
+        assert GOLDEN_DIGESTS.get(MODEL_REVISION) == digest, (
+            "tests/goldens/scorecard.json changed: bump MODEL_REVISION in "
+            "repro/sim/parallel.py and record the new digest here"
         )
 
     def test_schema_version_participates_in_key(self, monkeypatch):

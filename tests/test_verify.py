@@ -1,11 +1,11 @@
-"""Tests for the correctness subsystem: oracle, fuzzer, invariant layer.
+"""Tests for the correctness subsystem: fuzzer and invariant layer.
 
-The mirror contract in ``repro.dram.device`` says the inlined hot path must
-stay bit-identical to ``PriorityTimeline.reserve`` + ``Accumulator.sample``.
-These tests pin (a) that the oracle and the production device agree, (b)
-that the fuzzer *detects* a device whose mirror is broken, and (c) that the
-invariant layer is installed only when asked for and actually rejects
-corrupted results.
+The DRAM reservation arithmetic lives in the reference
+``DramDevice.access`` and, once more, in the batch engine's fast path
+(``repro.sim.batch._device_fns``). These tests pin (a) that the two agree,
+(b) that the fuzzer *detects* a fast path working from a broken policy
+constant, and (c) that the invariant layer is installed only when asked
+for and actually rejects corrupted results.
 """
 
 import dataclasses
@@ -18,12 +18,8 @@ from repro.dram.mapping import RowLocation
 from repro.dram.timings import OFFCHIP_DDR3, STACKED_DRAM
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
-from repro.verify import (
-    InvariantChecker,
-    InvariantViolation,
-    OracleDramDevice,
-    run_check,
-)
+from repro.sim.batch import _device_fns, _mem_decode
+from repro.verify import InvariantChecker, InvariantViolation, run_check
 from repro.verify.fuzzer import fuzz_device_pair, fuzz_system_pair
 from repro.workloads.spec import build_workload
 
@@ -37,12 +33,14 @@ def _small_workload(num_cores=1, reads=150, seed=3):
     )
 
 
-class TestOracleDevice:
-    """The oracle is a drop-in DramDevice built from reference calls."""
+class TestFastPathDevice:
+    """The batch fast path reproduces the reference device access."""
 
     def test_scripted_stream_bit_identical(self):
-        dut = DramDevice(STACKED_DRAM)
-        oracle = OracleDramDevice(STACKED_DRAM)
+        ref = DramDevice(STACKED_DRAM)
+        fast = DramDevice(STACKED_DRAM)
+        demand, background, flush, _ = _device_fns(fast)
+        banks = STACKED_DRAM.banks_per_channel
         script = [
             (0.0, LOC, None, False, False),
             (0.0, LOC, None, False, True),
@@ -52,24 +50,47 @@ class TestOracleDevice:
             (500.0, LOC, None, True, False),
         ]
         for now, loc, burst, w, b in script:
-            got = dut.access(now, loc, burst, is_write=w, background=b)
-            want = oracle.access(now, loc, burst, is_write=w, background=b)
-            assert got == want
-        assert dut.stats.as_dict() == oracle.stats.as_dict()
+            want = ref.access(now, loc, burst, is_write=w, background=b)
+            args = (
+                now,
+                loc.channel * banks + loc.bank,
+                loc.channel,
+                loc.row,
+                STACKED_DRAM.line_burst if burst is None else burst,
+                w,
+            )
+            if b:
+                assert background(*args) == want.done
+            else:
+                assert demand(*args) == (
+                    want.done,
+                    want.row_hit,
+                    want.queue_delay + want.bus_queue_delay,
+                    want.act_cycles + want.cas_cycles + want.burst_cycles,
+                )
+        flush()
+        for got, expect in zip(fast._banks + fast._buses, ref._banks + ref._buses):
+            assert (got.demand_free, got.all_free) == (
+                expect.demand_free,
+                expect.all_free,
+            )
+        assert fast._open_row == ref._open_row
+        assert {k: c.value for k, c in fast.stats.counters.items()} == {
+            k: c.value for k, c in ref.stats.counters.items()
+        }
 
-    def test_access_line_dispatches_through_oracle_access(self):
-        dut = DramDevice(OFFCHIP_DDR3)
-        oracle = OracleDramDevice(OFFCHIP_DDR3)
-        for line in (0, 1, 4096, 1):
-            assert dut.access_line(0.0, line) == oracle.access_line(0.0, line)
+    def test_access_line_matches_fast_path_decode(self):
+        import numpy as np
 
-    def test_oracle_watermarks_match_production_policy(self):
-        dut = DramDevice(STACKED_DRAM)
-        oracle = OracleDramDevice(STACKED_DRAM)
-        assert oracle._watermark() == dut._watermark()
-        assert oracle._bus_watermark() == dut._bus_watermark()
-        assert oracle._block_cap() == dut._block_cap()
-        assert oracle._bus_block_cap() == dut._bus_block_cap()
+        ref = DramDevice(OFFCHIP_DDR3)
+        fast = DramDevice(OFFCHIP_DDR3)
+        demand, _, _, _ = _device_fns(fast)
+        lines = [0, 1, 4096, 1]
+        decoded = _mem_decode(np.array(lines, dtype=np.int64), fast.mapping)
+        for line, (bank, channel, row) in zip(lines, zip(*decoded)):
+            want = ref.access_line(0.0, line)
+            got = demand(0.0, bank, channel, row, OFFCHIP_DDR3.line_burst, False)
+            assert got[:2] == (want.done, want.row_hit)
 
 
 class TestDeviceFuzzer:
@@ -88,52 +109,39 @@ class TestDeviceFuzzer:
         b = fuzz_device_pair(STACKED_DRAM, "open", 7, accesses=100)
         assert a == b
 
+    @staticmethod
+    def _divergences(fast_factory):
+        return sum(
+            len(
+                fuzz_device_pair(
+                    STACKED_DRAM,
+                    "open",
+                    seed,
+                    accesses=400,
+                    fast_factory=fast_factory,
+                )
+            )
+            for seed in range(5)
+        )
+
     def test_detects_broken_bus_watermark_mirror(self):
-        """The fuzzer must flag the exact bug this PR adjudicated: a bus
+        """The fuzzer must flag a historical bug on the batch side: a bus
         drain threshold sized in bank-service units."""
 
-        class OldBugDevice(DramDevice):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                hot = list(self._hot)
-                hot[7] = self._watermark_value  # bus watermark slot
-                self._hot = tuple(hot)
+        def old_bug_device(*args, **kwargs):
+            device = DramDevice(*args, **kwargs)
+            device.bus_watermark = device.watermark
+            return device
 
-        found = sum(
-            len(
-                fuzz_device_pair(
-                    STACKED_DRAM,
-                    "open",
-                    seed,
-                    accesses=400,
-                    dut_factory=OldBugDevice,
-                )
-            )
-            for seed in range(5)
-        )
-        assert found > 0
+        assert self._divergences(old_bug_device) > 0
 
     def test_detects_broken_timing_mirror(self):
-        class SkewedDevice(DramDevice):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                hot = list(self._hot)
-                hot[5] = hot[5] + 1  # bank block_cap off by one
-                self._hot = tuple(hot)
+        def skewed_device(*args, **kwargs):
+            device = DramDevice(*args, **kwargs)
+            device.block_cap += 1  # bank block cap off by one
+            return device
 
-        found = sum(
-            len(
-                fuzz_device_pair(
-                    STACKED_DRAM,
-                    "open",
-                    seed,
-                    accesses=400,
-                    dut_factory=SkewedDevice,
-                )
-            )
-            for seed in range(5)
-        )
-        assert found > 0
+        assert self._divergences(skewed_device) > 0
 
 
 class TestSystemFuzzer:
@@ -291,7 +299,7 @@ class TestCheckCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "OK: zero inlined-vs-oracle divergences" in out
+        assert "OK: zero batch-vs-reference divergences" in out
 
     def test_check_rejects_bad_seeds(self, capsys):
         assert cli_main(["check", "--seeds", "0"]) == 2
