@@ -768,14 +768,19 @@ def _bench_main(argv: List[str]) -> int:
     gate = args.check or args.min_speedup is not None
     baseline_path = Path(args.baseline) if args.baseline else None
     if baseline_path is None and gate:
+        # Gate against the newest baseline timed on the same engine.
+        engine = perf_bench.payload_engine(payload)
         try:
-            baseline_path = perf_bench.latest_bench_file(Path("."))
+            baseline_path = perf_bench.latest_bench_file(
+                Path("."), engine=engine
+            )
         except ValueError as exc:
             print(f"bench: {exc}", file=sys.stderr)
             return 2
         if baseline_path is None:
             print(
-                "bench: no BENCH_*.json baseline found in the cwd",
+                f"bench: no BENCH_*.json baseline for engine {engine!r} "
+                "found in the cwd",
                 file=sys.stderr,
             )
             return 2

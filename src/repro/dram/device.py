@@ -158,9 +158,11 @@ class PriorityTimeline:
     """A reservable resource with demand/background priority classes.
 
     Every bank and every channel bus of a :class:`DramDevice` is one of
-    these. :func:`repro.sim.batch._device_fns` re-implements
-    :meth:`reserve` over flat horizon lists for speed; the differential
-    fuzzer (:mod:`repro.verify.fuzzer`) requires it to stay bit-identical.
+    these. The batch engine re-implements :meth:`reserve` over flat
+    horizon lists for speed, as one source fragment
+    (:data:`repro.sim.kernelgen.RESERVE`) that every generated kernel and
+    :func:`repro.sim.batch._device_fns` splice in; the differential fuzzer
+    (:mod:`repro.verify.fuzzer`) requires it to stay bit-identical.
     """
 
     __slots__ = ("demand_free", "all_free")

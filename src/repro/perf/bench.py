@@ -400,16 +400,30 @@ def load_bench(path: Path) -> Dict:
     return data
 
 
-def latest_bench_file(root: Path = Path(".")) -> Optional[Path]:
+def payload_engine(payload: Dict) -> str:
+    """The engine every cell of a bench payload ran on (``"interp"`` for
+    payloads that predate ``engine_used``), or ``"mixed"``."""
+    engines = {
+        cell.get("engine_used", "interp")
+        for cell in payload.get("cells", {}).values()
+    }
+    return engines.pop() if len(engines) == 1 else "mixed"
+
+
+def latest_bench_file(
+    root: Path = Path("."), engine: Optional[str] = None
+) -> Optional[Path]:
     """Newest committed ``BENCH_*.json`` under ``root``, by *parsed* date.
 
     The date embedded in the file name is parsed as ISO-8601 (date or
     datetime), not compared lexically — ``BENCH_2026-8-9.json`` no longer
-    outranks ``BENCH_2026-12-01.json``. Returns ``None`` when there are no
-    candidates at all; raises ``ValueError`` (listing every candidate) when
-    any candidate's date fails to parse or two candidates tie for newest,
-    so the caller can ask for an explicit ``--baseline`` instead of gating
-    against an arbitrary file.
+    outranks ``BENCH_2026-12-01.json``. With ``engine``, only files whose
+    cells ran on that engine (:func:`payload_engine`) are candidates, so a
+    newer batch baseline never re-baselines an interpreter gate. Returns
+    ``None`` when there are no candidates at all; raises ``ValueError``
+    (listing every candidate) when any candidate's date fails to parse or
+    two candidates tie for newest, so the caller can ask for an explicit
+    ``--baseline`` instead of gating against an arbitrary file.
     """
     candidates = sorted(Path(root).glob(f"{BENCH_PREFIX}*.json"))
     if not candidates:
@@ -435,6 +449,13 @@ def latest_bench_file(root: Path = Path(".")) -> Optional[Path]:
             f"{', '.join(p.name for p in candidates)}); "
             "pass --baseline explicitly"
         )
+    if engine is not None:
+        dated = [
+            (stamp, path) for stamp, path in dated
+            if payload_engine(load_bench(path)) == engine
+        ]
+        if not dated:
+            return None
     newest = max(stamp for stamp, _ in dated)
     best = [path for stamp, path in dated if stamp == newest]
     if len(best) > 1:

@@ -61,6 +61,7 @@ import signal
 import sys
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -249,13 +250,21 @@ def cell_key(
 # ----------------------------------------------------------------------
 # Persistent result cache
 # ----------------------------------------------------------------------
+#: Completed cells a :class:`ResultCache` keeps in memory. Least recently
+#: used entries beyond this fall back to their disk copy, so a long-lived
+#: ``repro serve`` process stays bounded (a cell is a few kB).
+MEMORY_CAPACITY = 4096
+
+
 class ResultCache:
     """Two-tier (memory + JSON-on-disk) cache of completed simulation cells.
 
     Disk writes are atomic (write to a unique temp file, then ``os.replace``)
     so concurrent workers never expose torn files. Each entry stores the
     serialized :class:`SimResult` plus the telemetry of the run that produced
-    it, so cache hits still report heap events.
+    it, so cache hits still report heap events. The memory tier is an LRU
+    of at most :data:`MEMORY_CAPACITY` entries, guarded by a lock: ``repro
+    serve`` runs concurrent jobs in threads over one cache.
     """
 
     def __init__(
@@ -265,7 +274,8 @@ class ResultCache:
     ) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
         self.persist = cache_enabled() if persist is None else persist
-        self._memory: Dict[str, Tuple[SimResult, Dict]] = {}
+        self._memory: "OrderedDict[str, Tuple[SimResult, Dict]]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -288,9 +298,12 @@ class ResultCache:
 
     def get_entry(self, key: str) -> Optional[Tuple[SimResult, Dict]]:
         """(result, telemetry-of-original-run) for ``key``, else None."""
-        if key in self._memory:
-            self.hits += 1
-            return self._memory[key]
+        with self._lock:
+            entry = self._memory.get(key)
+            if entry is not None:
+                self._memory.move_to_end(key)
+                self.hits += 1
+                return entry
         if self.persist:
             path = self._path(key)
             if path.exists():
@@ -303,7 +316,7 @@ class ResultCache:
                     self.misses += 1
                     return None
                 telemetry = data.get("telemetry", {})
-                self._memory[key] = (result, telemetry)
+                self._remember(key, (result, telemetry))
                 self.hits += 1
                 return result, telemetry
         self.misses += 1
@@ -319,7 +332,7 @@ class ResultCache:
     ) -> None:
         """Store a completed cell in both tiers."""
         telemetry = telemetry or {}
-        self._memory[key] = (result, telemetry)
+        self._remember(key, (result, telemetry))
         if self.persist:
             _write_cache_file(
                 self._path(key), result, telemetry, describe or {}
@@ -334,11 +347,20 @@ class ResultCache:
         their own cells to disk before returning) — the parent mirrors
         them without a redundant disk write or re-read.
         """
-        self._memory[key] = (result, telemetry or {})
+        self._remember(key, (result, telemetry or {}))
+
+    def _remember(self, key: str, entry: Tuple[SimResult, Dict]) -> None:
+        with self._lock:
+            memory = self._memory
+            memory[key] = entry
+            memory.move_to_end(key)
+            while len(memory) > MEMORY_CAPACITY:
+                memory.popitem(last=False)
 
     def clear(self, disk: bool = True) -> None:
         """Drop the memory tier and (optionally) every on-disk entry."""
-        self._memory.clear()
+        with self._lock:
+            self._memory.clear()
         self.hits = 0
         self.misses = 0
         if disk and self.directory.is_dir():

@@ -22,7 +22,7 @@ import heapq
 import os
 import sys
 from itertools import count
-from typing import Callable, List, Union
+from typing import Callable, List, Optional, Union
 
 from repro.dram.device import DramDevice
 from repro.dram.energy import system_energy
@@ -139,17 +139,22 @@ class System:
     # ------------------------------------------------------------------
     # Warmup
     # ------------------------------------------------------------------
-    def _warm(self) -> List[int]:
+    def _warm(self, replay: Optional[Callable[[List[int]], None]] = None) -> List[int]:
         """Functionally replay leading records; returns per-core start index.
 
         Designs that inherit the no-op :meth:`DramCacheDesign.warm` (the
         baselines) have nothing to replay, so only the splits are computed.
+        ``replay(starts)``, when given, replaces the per-record ``warm``
+        calls (the batch engine passes its generated warmup).
         """
         starts = [
             warmup_split(trace, self.warmup_fraction)
             for trace in self.workload.cores
         ]
         if type(self.design).warm is DramCacheDesign.warm:
+            return starts
+        if replay is not None:
+            replay(starts)
             return starts
         warm = self.design.warm
         for core_id, (trace, split) in enumerate(zip(self.workload.cores, starts)):

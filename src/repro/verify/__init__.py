@@ -3,9 +3,10 @@
 The DRAM reservation arithmetic exists twice: once as the reference
 :meth:`~repro.dram.device.DramDevice.access` (two
 :meth:`~repro.dram.device.PriorityTimeline.reserve` calls plus plain
-stat updates), and once as the batch engine's fast path
-(:func:`repro.sim.batch._device_fns` and the kernels built on it). This
-package keeps the two honest:
+stat updates), and once as the batch engine's fast path (the source
+fragment :data:`repro.sim.kernelgen.RESERVE`, spliced into every generated
+kernel and into :func:`repro.sim.batch._device_fns`). This package keeps
+the two honest:
 
 * :mod:`repro.verify.fuzzer` — a differential fuzzer driving the reference
   device and the batch fast path (and whole paired interpreter/batch

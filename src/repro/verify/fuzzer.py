@@ -8,7 +8,8 @@ Two layers, both driven from ``repro check``:
   and watermark boundaries) and replays each stream through the reference
   :meth:`~repro.dram.device.DramDevice.access` and through the batch
   engine's ``demand``/``background`` closures
-  (:func:`repro.sim.batch._device_fns`) over a second device built from the
+  (:func:`repro.sim.batch._device_fns`, compiled from the same reservation
+  fragment the kernels splice in) over a second device built from the
   same timings. Every access must agree on completion time, row hit,
   queue cycles and service cycles; after the fast path flushes, the
   bank/bus timelines, open-row state and every device counter must match

@@ -224,6 +224,28 @@ class TestLatestBenchFile:
         assert "BENCH_2026-01-01.json" in message
         assert "--baseline" in message
 
+    def test_engine_filter_skips_newer_files_of_another_engine(self, tmp_path):
+        def payload(engine_used):
+            cell = {} if engine_used is None else {"engine_used": engine_used}
+            return json.dumps(
+                {"kind": "repro-bench", "schema": 2, "cells": {"c": cell}}
+            )
+
+        # Payloads older than engine_used count as interpreter runs.
+        (tmp_path / "BENCH_2026-01-01.json").write_text(payload(None))
+        (tmp_path / "BENCH_2026-02-01.json").write_text(payload("interp"))
+        (tmp_path / "BENCH_2026-03-01.json").write_text(payload("batch"))
+        assert latest_bench_file(tmp_path).name == "BENCH_2026-03-01.json"
+        assert (
+            latest_bench_file(tmp_path, engine="interp").name
+            == "BENCH_2026-02-01.json"
+        )
+        assert (
+            latest_bench_file(tmp_path, engine="batch").name
+            == "BENCH_2026-03-01.json"
+        )
+        assert latest_bench_file(tmp_path, engine="mixed") is None
+
     def test_tie_for_newest_is_an_error(self, tmp_path):
         # A date and the same date's midnight parse to the same instant.
         (tmp_path / "BENCH_2026-01-01.json").write_text("{}")

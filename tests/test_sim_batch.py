@@ -105,7 +105,10 @@ class TestBitExactness:
         assert batch.engine_used == "batch"
         assert_identical(got, want)
 
-    @pytest.mark.parametrize("design", ["lh-cache", "sram-tag", "alloy-map-i"])
+    @pytest.mark.parametrize("design", [
+        "lh-cache", "sram-tag", "alloy-map-i", "no-cache", "perfect-l3",
+        "ideal-lo", "alloy-2way", "alloy-victim16",
+    ])
     def test_matches_without_percentile_tracking(self, design):
         _, want, batch, got = _pair(
             design, _config(track_percentiles=False)
@@ -114,9 +117,7 @@ class TestBitExactness:
         assert_identical(got, want)
         assert got.hit_latency_p95 is None or got.hit_latency_p95 == 0.0
 
-    @pytest.mark.parametrize(
-        "design", ["lh-cache", "sram-tag", "no-cache", "perfect-l3"]
-    )
+    @pytest.mark.parametrize("design", BATCH_DESIGNS)
     def test_matches_under_closed_page_policies(self, design):
         _, want, batch, got = _pair(
             design,
@@ -136,7 +137,10 @@ class TestBitExactness:
 
     @pytest.mark.parametrize(
         "design",
-        ["alloy-map-i", "lh-cache", "alloy-victim16", "alloy-2way", "perfect-l3"],
+        [
+            "alloy-map-i", "lh-cache", "alloy-victim16", "alloy-2way",
+            "perfect-l3", "ideal-lo", "sram-tag", "no-cache",
+        ],
     )
     @pytest.mark.parametrize("mshrs", [2, 4])
     def test_matches_with_mlp_cores(self, design, mshrs):
@@ -150,6 +154,107 @@ class TestBitExactness:
         )
         assert batch.engine_used == "batch"
         assert_identical(got, want)
+
+
+def _contains_block(lines, block):
+    return any(
+        lines[i:i + len(block)] == block
+        for i in range(len(lines) - len(block) + 1)
+    )
+
+
+#: The variant axes beyond the design: every one flipped at once.
+FLIPPED_AXES = dict(
+    mshrs_per_core=4,
+    track_percentiles=False,
+    stacked_page_policy="closed",
+    offchip_page_policy="closed",
+)
+
+
+class TestGeneratedKernels:
+    """One skeleton and one reservation fragment, compiled lazily once per
+    variant key."""
+
+    @staticmethod
+    def _compiled(design, **axes):
+        from repro.sim import batch
+
+        config = _config(**axes)
+        system = System(config, design, _workload(config, reads=20))
+        return batch.compile_variant(batch.variant_key(system))
+
+    @pytest.mark.parametrize("axes", [{}, FLIPPED_AXES], ids=["default", "flipped"])
+    @pytest.mark.parametrize("design", BATCH_DESIGNS)
+    def test_every_access_splices_the_reservation_fragment(self, design, axes):
+        from repro.sim.kernelgen import render_reserve
+
+        compiled = self._compiled(design, **axes)
+        lines = [line.strip() for line in compiled.source.splitlines()]
+        for site in compiled.sites:
+            block = [line.strip() for line in render_reserve(compiled.flags, site)]
+            assert _contains_block(lines, block), site
+        # No reservation arithmetic outside the splices.
+        marker = "bus_start = data_ready if data_ready >= free else free"
+        assert lines.count(marker) == len(compiled.sites)
+        # perfect-l3 is the one family without DRAM traffic.
+        assert bool(compiled.sites) == (design != "perfect-l3")
+
+    @pytest.mark.parametrize("open_page", [True, False])
+    def test_fuzzer_fast_path_splices_the_same_fragment(self, open_page):
+        from repro.sim import batch
+        from repro.sim.kernelgen import render_reserve
+
+        compiled = batch._compile_device_fns(open_page)
+        lines = [line.strip() for line in compiled.source.splitlines()]
+        assert [s.demand for s in compiled.sites] == [True, False]
+        for site in compiled.sites:
+            block = [line.strip() for line in render_reserve(compiled.flags, site)]
+            assert _contains_block(lines, block)
+
+    def test_each_variant_compiles_once_per_process(self):
+        from repro.sim import batch
+
+        config = _config(engine="batch")
+        workload = _workload(config)
+        batch.compile_variant(
+            batch.variant_key(System(config, "alloy-map-i", workload))
+        )
+        before = batch.compile_variant.cache_info()
+        for _ in range(3):
+            System(config, "alloy-map-i", workload).run()
+        after = batch.compile_variant.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 3
+
+    @pytest.mark.parametrize("design", ["lh-cache", "alloy-map-i", "ideal-lo"])
+    def test_each_axis_selects_its_own_variant(self, design):
+        from repro.sim import batch
+
+        workload = _workload(_config(), reads=20)
+        keys = {
+            batch.variant_key(System(_config(**{axis: value}), design, workload))
+            for axis, value in [("mshrs_per_core", 1), *FLIPPED_AXES.items()]
+        }
+        assert len(keys) == 1 + len(FLIPPED_AXES)
+
+    def test_import_compiles_nothing(self):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import repro.sim.batch as b; "
+                "print(b.compile_variant.cache_info().currsize, "
+                "b._compile_device_fns.cache_info().currsize)",
+            ],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
 
 class TestFallback:

@@ -184,6 +184,67 @@ class TestPersistentCache:
         assert other.get_entry(cell.key()) == (result, {"wall_seconds": 1.5})
         assert not (cache.directory / "elsewhere").exists()
 
+    def test_memory_tier_is_a_bounded_lru(self, cache, monkeypatch):
+        """A long-lived cache never holds more than MEMORY_CAPACITY cells
+        in memory; an evicted cell is re-read from disk bit-identically,
+        and a lookup refreshes recency."""
+        import repro.sim.parallel as par
+
+        monkeypatch.setattr(par, "MEMORY_CAPACITY", 3)
+        cell = tiny_cells()[0]
+        result = run_sweep([cell], max_workers=1, cache=cache).cells[0].result
+        keys = [f"k{i:02d}" for i in range(10)]
+        for i, key in enumerate(keys):
+            cache.put(key, result, {"n": i})
+            cache.get_entry(keys[0])  # keep the first key hot
+            assert len(cache) <= 3
+        assert set(cache._memory) == {keys[0], keys[8], keys[9]}
+        evicted = keys[4]
+        assert evicted not in cache._memory
+        got, telemetry = cache.get_entry(evicted)
+        assert telemetry == {"n": 4}
+        assert dataclasses.asdict(got) == dataclasses.asdict(result)
+        assert len(cache) == 3 and evicted in cache._memory
+
+    def test_memory_tier_survives_concurrent_threads(self, tmp_path, monkeypatch):
+        """``repro serve`` shares one cache across job threads: racing
+        lookups and evictions must neither raise nor overfill the LRU."""
+        import sys
+        import threading
+
+        import repro.sim.parallel as par
+
+        monkeypatch.setattr(par, "MEMORY_CAPACITY", 2)
+        cache = ResultCache(tmp_path / "mem", persist=False)
+        result = SimResult(workload="w", design="d", cycles=1.0)
+        errors = []
+
+        def hammer(offset):
+            try:
+                for i in range(20000):
+                    key = f"k{(i * 7 + offset) % 4}"
+                    cache.put(key, result, {"i": i})
+                    entry = cache.get_entry(f"k{(i + offset) % 4}")
+                    assert entry is None or entry[0] is result
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(n,)) for n in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) == 2
+
 
 class TestResultSchema:
     """SimResult's on-disk shape: round-trips exactly, and changing the

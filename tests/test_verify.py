@@ -1,8 +1,9 @@
 """Tests for the correctness subsystem: fuzzer and invariant layer.
 
 The DRAM reservation arithmetic lives in the reference
-``DramDevice.access`` and, once more, in the batch engine's fast path
-(``repro.sim.batch._device_fns``). These tests pin (a) that the two agree,
+``DramDevice.access`` and, once more, in the batch engine's fast path (the
+reservation fragment every kernel splices in, compiled into
+``repro.sim.batch._device_fns`` for these tests). They pin (a) that the two agree,
 (b) that the fuzzer *detects* a fast path working from a broken policy
 constant, and (c) that the invariant layer is installed only when asked
 for and actually rejects corrupted results.
