@@ -48,6 +48,7 @@ import json
 import os
 import threading
 import time
+import zipfile
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -328,9 +329,12 @@ def load_arena(path: Path, params: WorkloadParams) -> Optional[Workload]:
                     )
                 )
         return Workload(name=meta["name"], cores=cores)
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile.BadZipFile):
         # Torn/corrupt file: treat as a miss and rebuild (the next save
-        # atomically replaces it).
+        # atomically replaces it). Truncation and flipped bytes surface as
+        # BadZipFile (bad CRC, missing directory), EOFError (empty file) or
+        # RuntimeError (a flipped compression or encryption flag); the
+        # member CRCs keep a damaged file from loading wrong arrays.
         return None
 
 

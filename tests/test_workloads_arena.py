@@ -31,6 +31,22 @@ from repro.workloads.spec import build_workload, generate_workload
 PARAMS = WorkloadParams(benchmark="gcc_r", reads_per_core=400)
 
 
+def _flip(data: bytes, pos: int) -> bytes:
+    return data[:pos] + bytes([data[pos] ^ 0xFF]) + data[pos + 1:]
+
+
+#: Ways a persisted arena gets damaged on disk (interrupted copies, full
+#: disks, bit rot); each must load as a miss and rebuild.
+CORRUPTIONS = {
+    "not-an-npz": lambda good: b"not an npz",
+    "truncated-half": lambda good: good[: len(good) // 2],
+    "truncated-10": lambda good: good[:-10],
+    "zero-length": lambda good: b"",
+    "zip-magic-junk": lambda good: b"PK\x03\x04" + b"\x00junk" * 8,
+    "flipped-byte": lambda good: _flip(good, len(good) // 2),
+}
+
+
 def workload_digest(workload) -> str:
     """Content hash over every array and the instruction counts."""
     h = hashlib.sha256()
@@ -135,15 +151,33 @@ class TestArenaTiers:
         arena.fetch(PARAMS)
         assert not list(tmp_path.glob("*.npz"))
 
-    def test_corrupt_arena_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("damage", sorted(CORRUPTIONS))
+    def test_corrupt_arena_is_a_miss(self, tmp_path, damage):
         arena = WorkloadArena(directory=tmp_path)
         built, _ = arena.fetch(PARAMS)
         path = arena._path(PARAMS.key())
-        path.write_bytes(b"not an npz")
+        path.write_bytes(CORRUPTIONS[damage](path.read_bytes()))
         fresh = WorkloadArena(directory=tmp_path)
         rebuilt, telemetry = fresh.fetch(PARAMS)
         assert telemetry["trace_source"] == "built"
         assert_workloads_identical(rebuilt, built)
+        # The rebuild replaced the damaged file with a loadable one.
+        assert_workloads_identical(load_arena(path, PARAMS), built)
+
+    def test_damaged_arena_never_loads_wrong_arrays(self, tmp_path):
+        """Sampled byte flips and truncations: a miss or the exact arrays."""
+        params = WorkloadParams(benchmark="gcc_r", num_cores=2, reads_per_core=40)
+        workload = generate_workload("gcc_r", num_cores=2, reads_per_core=40)
+        path = tmp_path / "arena.npz"
+        save_arena(path, workload, params)
+        good = path.read_bytes()
+        damaged = [good[:n] for n in range(0, len(good), 29)]
+        damaged += [_flip(good, pos) for pos in range(0, len(good), 11)]
+        for data in damaged:
+            path.write_bytes(data)
+            loaded = load_arena(path, params)
+            if loaded is not None:
+                assert_workloads_identical(loaded, workload)
 
     def test_stale_generator_version_rejected(self, tmp_path, monkeypatch):
         workload = generate_workload("gcc_r", reads_per_core=400)
